@@ -123,7 +123,6 @@ class LweParams:
     n: int
     p: int
     q: int
-    q_prime: int | None = None       # None: single-modulus profile (q' = q)
     lam: int = 512
     c_bound: float = 4.0             # inversion residual bound is q / (c_bound * p * d)
     resample_cap: int = 64           # preimage retries against the norm cap
@@ -134,12 +133,6 @@ class LweParams:
             raise ValueError("p must be prime")
         if self.q % self.p != 0 or (self.q // self.p) % self.p == 0:
             raise ValueError("need q = p*c with p not dividing c")
-        if self.q_prime is not None:
-            qp = self.q_prime
-            if qp % self.p != 0 or (qp // self.p) % self.p == 0:
-                raise ValueError("need q' = p*c' with p not dividing c'")
-            if not modswitch_window_ok(self.p, self.q, qp):
-                raise ValueError("q/q' violates the switching window")
         if self.n < 1:
             raise ValueError("n must be positive")
 

@@ -5,7 +5,7 @@ rendered with sorted keys and no whitespace, so a fixed input always
 produces the same bytes.  Integers are arbitrary precision (JSON numbers
 are decimal strings); floats are refused outright to keep byte output
 platform independent.  Matrices carry explicit shape and a declared
-bit width that is enforced on load.
+bit width of 64 that is enforced on load.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def serialize(kind: str, payload) -> bytes:
 def deserialize(data: bytes, expect_kind: str | None = None):
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SerializationError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"schema", "version", "payload"}:
         raise SerializationError("document must carry schema, version and payload")
@@ -73,14 +73,17 @@ def deserialize(data: bytes, expect_kind: str | None = None):
     return doc["payload"]
 
 
-def matrix_doc(mat, width: int = 64) -> dict:
+_WIDTH = 64                  # bits per matrix entry, the only width on the wire
+_LIMIT = 1 << (_WIDTH - 1)
+
+
+def matrix_doc(mat) -> dict:
     arr = np.asarray(mat)
     flat = [int(v) for v in arr.reshape(-1)]
-    limit = 1 << (width - 1)
-    if any(not -limit <= v < limit for v in flat):
-        raise SerializationError(f"matrix entry exceeds declared width {width}")
+    if any(not -_LIMIT <= v < _LIMIT for v in flat):
+        raise SerializationError(f"matrix entry exceeds width {_WIDTH}")
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
-            "width": width, "data": flat}
+            "width": _WIDTH, "data": flat}
 
 
 def doc_matrix(doc: dict) -> np.ndarray:
@@ -88,10 +91,11 @@ def doc_matrix(doc: dict) -> np.ndarray:
         rows, cols, width, data = doc["rows"], doc["cols"], doc["width"], doc["data"]
     except (KeyError, TypeError) as exc:
         raise SerializationError("matrix document is missing fields") from exc
+    if width != _WIDTH:
+        raise SerializationError(f"matrix width must be {_WIDTH}, not {width!r}")
     if rows * cols != len(data):
         raise SerializationError("matrix length does not match its shape")
-    limit = 1 << (width - 1)
-    if any(not isinstance(v, int) or not -limit <= v < limit for v in data):
+    if any(not isinstance(v, int) or not -_LIMIT <= v < _LIMIT for v in data):
         raise SerializationError("matrix entry exceeds declared width")
     return np.array(data, dtype=np.int64).reshape(rows, cols)
 
@@ -128,23 +132,22 @@ def doc_set_system(payload: dict):
 def equalize_lengths(docs: list[dict], kind: str) -> list[bytes]:
     """Serialize sibling documents padded to one common byte length.
 
-    Each document must carry a string "pad" field at the top of its
-    payload; spaces are appended inside it until all siblings match.
+    Each payload gets a string "pad" field at its top level, overriding
+    any it carries; spaces are appended inside it until all siblings
+    match.  The documents themselves are left untouched.
     """
     marker = b'"pad":""'
     blobs = []
     for doc in docs:
-        doc["pad"] = ""
-        blob = serialize(kind, doc)
+        blob = serialize(kind, {**doc, "pad": ""})
         if blob.count(marker) != 1:
             raise SerializationError("payload must carry exactly one empty pad field")
         blobs.append(blob)
     target = max(len(b) for b in blobs)
     out = []
-    for doc, blob in zip(docs, blobs):
-        fill = " " * (target - len(blob))
-        doc["pad"] = fill
-        padded = blob.replace(marker, b'"pad":"' + fill.encode() + b'"', 1)
+    for blob in blobs:
+        fill = b" " * (target - len(blob))
+        padded = blob.replace(marker, b'"pad":"' + fill + b'"', 1)
         if len(padded) != target:
             raise SerializationError("padding failed to equalize byte lengths")
         out.append(padded)

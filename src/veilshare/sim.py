@@ -99,7 +99,7 @@ def _corrupt_bundle(bundle: ShareBundle, mode: str, rng: np.random.Generator) ->
             token = type(inst.token)(inst.token.party, tampered, inst.token.instance_id)
             instances.append(InstanceShare(inst.instance_id, token,
                                            inst.a_matrix, inst.d_matrix, inst.header_ct))
-    return ShareBundle(bundle.party, bundle.params, instances, bundle.pad)
+    return ShareBundle(bundle.party, bundle.params, instances)
 
 
 def _rate(num: int, den: int) -> list[int]:

@@ -112,15 +112,15 @@ def _common_rows(a: SetSystem, b: SetSystem) -> list[int]:
     return [i for i, row in enumerate(a.sets) if row.tobytes() in seen]
 
 
-_structure_cache: dict[tuple[int, int], dict] = {}
-
-
 def _encoding_structure(h_system: SetSystem, h_prime_system: SetSystem) -> dict:
-    """Candidate designated sets and their superset lists, cached per system pair."""
-    key = (id(h_system), id(h_prime_system))
-    hit = _structure_cache.get(key)
-    if hit is not None:
-        return hit
+    """Candidate designated sets and their superset lists.
+
+    Cached on h_prime_system for the last h_system it was paired with, so
+    the cache lives exactly as long as the systems do.
+    """
+    cached = getattr(h_prime_system, "_encoding_structure", None)
+    if cached is not None and cached[0] is h_system:
+        return cached[1]
 
     sizes = h_prime_system.sizes()
     classes = sorted(set(int(v) for v in sizes))
@@ -143,23 +143,13 @@ def _encoding_structure(h_system: SetSystem, h_prime_system: SetSystem) -> dict:
                   if proper_superset_count[i] == want and not is_proper_superset_of_any[i]]
     supersets = {
         i: np.flatnonzero((gram[i] == sizes[i]) & (sizes > sizes[i])) for i in candidates}
-    members = {}
-    structure = {
-        "merge_l": merge_l,
-        "candidates": candidates,
-        "supersets": supersets,
-        "members": members,
-    }
-    _structure_cache[key] = structure
+    # every member set is built from these shared int objects, so encoding
+    # allocates no ints of its own
+    ids = np.arange(h_prime_system.universe_size).astype(object)
+    structure = {"merge_l": merge_l, "candidates": candidates, "supersets": supersets,
+                 "ids": ids}
+    h_prime_system._encoding_structure = (h_system, structure)
     return structure
-
-
-def _member(h_prime_system: SetSystem, members: dict, row_idx: int) -> frozenset[int]:
-    got = members.get(row_idx)
-    if got is None:
-        got = frozenset(int(v) for v in np.flatnonzero(h_prime_system.sets[row_idx]))
-        members[row_idx] = got
-    return got
 
 
 def encode_access_structure(party_count: int, omega, h_system: SetSystem,
@@ -213,7 +203,7 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
     tags = list(range(base_h, universe))     # tag j is tags[j-1]
 
     def member(row_idx) -> frozenset[int]:
-        return _member(h_prime_system, structure["members"], row_idx)
+        return frozenset(structure["ids"][h_prime_system.sets[row_idx]])
 
     h_set = member(h_idx)
     draw = rng.choice(superset_idx, size=party_count, replace=False)

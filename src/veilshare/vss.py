@@ -20,7 +20,8 @@ intersects its tokens to one fixed identifier set, and the header
 carrying the chain order, the exponents and the terminal trapdoor is
 encrypted under a key derived from exactly that set.  Parties outside
 the chain receive decoy matrices and encodings drawn from the same
-marginal distributions, and every bundle is padded to one byte length.
+marginal distributions, and serialize_bundles pads every serialized
+bundle to one byte length.
 
 Verification is communication free and runs after reconstruction: for
 each chain position j the suffix product D_last ... D_j A_j is inverted
@@ -162,7 +163,6 @@ class ShareBundle:
     party: int
     params: VssParams
     instances: list[InstanceShare]
-    pad: str = ""
 
     def instance(self, instance_id: str) -> InstanceShare:
         for inst in self.instances:
@@ -175,7 +175,6 @@ class ShareBundle:
             "party": self.party,
             "params": self.params.to_doc(),
             "instances": [i.to_doc() for i in self.instances],
-            "pad": self.pad,
         }
 
     @classmethod
@@ -188,8 +187,7 @@ class ShareBundle:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise serial.SerializationError(f"malformed share bundle: {exc}") from exc
-        return cls(party=party, params=params, instances=instances,
-                   pad=doc.get("pad", ""))
+        return cls(party=party, params=params, instances=instances)
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +196,34 @@ class ShareBundle:
 
 def _kdf(element_ids, purpose: bytes) -> bytes:
     h = hashlib.sha256()
-    h.update(b"veilshare.header.v1|" + purpose + b"|")
+    h.update(b"veilshare.header.v2|" + purpose + b"|")
     h.update(",".join(str(i) for i in sorted(element_ids)).encode())
     return h.digest()
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out.extend(hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest())
-        counter += 1
-    return bytes(out[:length])
+def _xor_keystream(element_ids, nonce: str, data: bytes) -> bytes:
+    stream = hashlib.shake_256(_kdf(element_ids, b"enc") + nonce.encode()).digest(len(data))
+    return (int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")).to_bytes(
+        len(data), "little")
+
+
+def _mac(element_ids, nonce: str, ct: bytes) -> bytes:
+    key = _kdf(element_ids, b"mac")
+    return hmac_mod.new(key, nonce.encode() + ct, hashlib.sha256).digest()
 
 
 def seal_header(element_ids, nonce: str, plaintext: bytes) -> bytes:
-    enc_key = _kdf(element_ids, b"enc")
-    mac_key = _kdf(element_ids, b"mac")
-    ct = bytes(a ^ b for a, b in zip(plaintext,
-                                     _keystream(enc_key, nonce.encode(), len(plaintext))))
-    tag = hmac_mod.new(mac_key, nonce.encode() + ct, hashlib.sha256).digest()
-    return ct + tag
+    ct = _xor_keystream(element_ids, nonce, plaintext)
+    return ct + _mac(element_ids, nonce, ct)
 
 
 def open_header(element_ids, nonce: str, sealed: bytes) -> bytes:
     if len(sealed) < 32:
         raise VssError("header too short")
     ct, tag = sealed[:-32], sealed[-32:]
-    mac_key = _kdf(element_ids, b"mac")
-    want = hmac_mod.new(mac_key, nonce.encode() + ct, hashlib.sha256).digest()
-    if not hmac_mod.compare_digest(tag, want):
+    if not hmac_mod.compare_digest(tag, _mac(element_ids, nonce, ct)):
         raise VssError("header authentication failed")
-    enc_key = _kdf(element_ids, b"enc")
-    return bytes(a ^ b for a, b in zip(ct, _keystream(enc_key, nonce.encode(), len(ct))))
+    return _xor_keystream(element_ids, nonce, ct)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +271,7 @@ def _validate_gamma0(gamma0, parties: int) -> list[tuple[int, ...]]:
 
 def deal(secret: Secret, gamma0, parties: int, params: VssParams,
          seed: int) -> list[ShareBundle]:
-    """Produce one padded ShareBundle per party for cl(gamma0)."""
+    """Produce one ShareBundle per party for cl(gamma0)."""
     if secret.p != params.lwe.p:
         raise VssError("secret prime does not match the parameter prime")
     gamma0 = _validate_gamma0(gamma0, parties)
@@ -347,61 +340,60 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
             per_party[party].append(
                 InstanceShare(inst_id, token, a_mat, d_mat, sealed))
 
-    bundles = [ShareBundle(party, params, per_party[party])
-               for party in range(1, parties + 1)]
-    serialize_bundles(bundles)     # fixes pads so byte lengths agree
-    return bundles
+    return [ShareBundle(party, params, per_party[party])
+            for party in range(1, parties + 1)]
 
 
 def serialize_bundles(bundles: list[ShareBundle]) -> list[bytes]:
-    docs = [b.to_doc() for b in bundles]
-    blobs = serial.equalize_lengths(docs, "share-bundle")
-    for bundle, doc in zip(bundles, docs):
-        bundle.pad = doc["pad"]
-    return blobs
+    """Canonical bytes of each bundle, padded so all siblings share one length."""
+    return serial.equalize_lengths([b.to_doc() for b in bundles], "share-bundle")
 
 
 # ---------------------------------------------------------------------------
 # reconstruction
 
 
-def _instance_ids(bundles: list[ShareBundle]) -> list[str]:
-    """Shared instance ids; bundles must come from one dealing."""
+def _opened_chains(bundles: list[ShareBundle]):
+    """Token-test every dealt instance; open the header of each certified one.
+
+    Yields (shares by party, header payload, terminal trapdoor) for every
+    instance whose tokens certify the coalition, with header and trapdoor
+    None when the header fails to authenticate.  Bundles must come from
+    one dealing.
+    """
     per_bundle = [sorted(i.instance_id for i in b.instances) for b in bundles]
     if any(ids != per_bundle[0] for ids in per_bundle[1:]):
         raise VssError("bundles disagree on instances: not from one dealing")
-    if any(b.params.to_doc() != bundles[0].params.to_doc() for b in bundles[1:]):
-        raise VssError("bundles disagree on parameters: not from one dealing")
-    return per_bundle[0]
-
-
-def _open_instance(bundles: list[ShareBundle], instance_id: str):
-    """Token-test one instance.
-
-    Returns ("unauthorized", None, None), ("corrupt", None, None) when the
-    size test passes but the header fails to authenticate, or
-    ("ok", header payload, shares by party).
-    """
-    shares = {b.party: b.instance(instance_id) for b in bundles}
-    packs = [s.token for s in shares.values()]
-    combined = combine_tokens(packs)
     params = bundles[0].params
-    if not membership_test(combined, params.token_m, params.token_m_prime):
-        return "unauthorized", None, None
-    try:
-        header_bytes = open_header(tuple(sorted(combined)), instance_id,
-                                   shares[bundles[0].party].header_ct)
-        payload = serial.deserialize(header_bytes, "reconstruction")
-    except (VssError, serial.SerializationError):
-        return "corrupt", None, None
-    return "ok", payload, shares
+    if any(b.params.to_doc() != params.to_doc() for b in bundles[1:]):
+        raise VssError("bundles disagree on parameters: not from one dealing")
+    for instance_id in per_bundle[0]:
+        shares = {b.party: b.instance(instance_id) for b in bundles}
+        combined = combine_tokens([s.token for s in shares.values()])
+        if not membership_test(combined, params.token_m, params.token_m_prime):
+            continue
+        try:
+            header_bytes = open_header(tuple(sorted(combined)), instance_id,
+                                       shares[bundles[0].party].header_ct)
+            header = serial.deserialize(header_bytes, "reconstruction")
+        except (VssError, serial.SerializationError):
+            yield shares, None, None
+            continue
+        trap = TrapdoorMatrix(params.lwe, serial.doc_matrix(header["a_term"]),
+                              serial.doc_matrix(header["r_term"]),
+                              np.eye(params.lwe.n, dtype=np.int64))
+        yield shares, header, trap
 
 
-def _terminal_trapdoor(params: VssParams, header: dict) -> TrapdoorMatrix:
-    return TrapdoorMatrix(params.lwe,
-                          serial.doc_matrix(header["a_term"]),
-                          serial.doc_matrix(header["r_term"]),
-                          np.eye(params.lwe.n, dtype=np.int64))
+def _decode_suffix(shares, order: list[int], j: int, trap: TrapdoorMatrix,
+                   check: bool) -> int:
+    """det mod p of the S-power product decoded from D_last ... D_j A_j."""
+    q = trap.params.q
+    x = shares[order[j]].a_matrix % q
+    for party in order[j:]:
+        x = np.asarray(matmul_mod(shares[party].d_matrix, x, q), dtype=np.int64)
+    m_mat, _ = lwe_invert(trap, x, check=check)
+    return det_int(m_mat) % trap.params.p
 
 
 def reconstruct(bundles: list[ShareBundle]) -> Secret:
@@ -413,34 +405,24 @@ def reconstruct(bundles: list[ShareBundle]) -> Secret:
     """
     if not bundles:
         raise UnauthorizedError("empty coalition")
-    params = bundles[0].params
-    q, p = params.lwe.q, params.lwe.p
     corruption: object = None
     certified = False
-    for instance_id in _instance_ids(bundles):
-        status, header, shares = _open_instance(bundles, instance_id)
-        if status == "unauthorized":
-            continue
+    for shares, header, trap in _opened_chains(bundles):
         certified = True
-        if status == "corrupt":
+        if header is None:
             corruption = "header failed to authenticate"
             continue
-        order = header["order"]
         try:
-            x = shares[order[0]].a_matrix % q
-            for party in order:
-                x = np.asarray(matmul_mod(shares[party].d_matrix, x, q), dtype=np.int64)
-            m_mat, _ = lwe_invert(_terminal_trapdoor(params, header), x)
+            k = _decode_suffix(shares, header["order"], 0, trap, check=True)
         except InversionError as exc:
             corruption = exc
             continue
         try:
-            return Secret(det_int(m_mat) % p, p)
+            return Secret(k, trap.params.p)
         except ValueError as exc:
             # a clean inversion must telescope to a generator; anything else
             # means the dealing itself was inconsistent
             corruption = exc
-            continue
     if certified:
         raise ShareCorruptionError(f"authorized but inversion failed: {corruption}")
     raise UnauthorizedError("coalition tokens certify no dealt access structure")
@@ -460,32 +442,20 @@ def verify_shares(bundles: list[ShareBundle], secret: Secret) -> dict[int, int]:
     """
     if not bundles:
         raise HeaderUnavailableError("no bundles supplied")
-    params = bundles[0].params
-    q, p = params.lwe.q, params.lwe.p
+    p = bundles[0].params.lwe.p
     verdicts = {b.party: 1 for b in bundles}
     opened_any = False
-    for instance_id in _instance_ids(bundles):
-        status, header, shares = _open_instance(bundles, instance_id)
-        if status != "ok":
+    for shares, header, trap in _opened_chains(bundles):
+        if header is None:
             continue
         opened_any = True
         order, exps = header["order"], header["exponents"]
-        trap = _terminal_trapdoor(params, header)
-        k_chain = len(order)
-
-        suffix_det = {k_chain: 1}       # det of S-power product strictly above j
-        for j in range(k_chain - 1, -1, -1):
-            x = shares[order[j]].a_matrix % q
-            for pos in range(j, k_chain):
-                x = np.asarray(matmul_mod(shares[order[pos]].d_matrix, x, q),
-                               dtype=np.int64)
-            m_mat, _ = lwe_invert(trap, x, check=False)
-            suffix_det[j] = det_int(m_mat) % p
-
-        for j in range(k_chain):
-            expected = suffix_det[j + 1] * pow(secret.k, exps[j], p) % p
-            if suffix_det[j] != expected:
+        above = 1       # det of the S-power product strictly above j
+        for j in range(len(order) - 1, -1, -1):
+            det_j = _decode_suffix(shares, order, j, trap, check=False)
+            if det_j != above * pow(secret.k, exps[j], p) % p:
                 verdicts[order[j]] = 0
+            above = det_j
     if not opened_any:
         raise HeaderUnavailableError(
             "no instance header opened: verification runs only after the "

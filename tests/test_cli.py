@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,11 +64,15 @@ def test_set_system_doc_bounds_checked():
 
 
 def test_matrix_width_enforced():
-    doc = serial.matrix_doc(np.array([[1, 2], [3, 4]]), width=8)
+    doc = serial.matrix_doc(np.array([[1, 2], [3, 4]]))
+    assert doc["width"] == 64
     assert (serial.doc_matrix(doc) == [[1, 2], [3, 4]]).all()
     with pytest.raises(serial.SerializationError):
-        serial.matrix_doc(np.array([[300]]), width=8)
-    doc["data"][0] = 999
+        serial.matrix_doc(np.array([[2**63]], dtype=object))
+    doc["data"][0] = 2**63
+    with pytest.raises(serial.SerializationError):
+        serial.doc_matrix(doc)
+    doc["data"][0], doc["width"] = 1, 8       # 64 is the only width accepted
     with pytest.raises(serial.SerializationError):
         serial.doc_matrix(doc)
 
@@ -217,6 +222,44 @@ def test_cli_rejects_malformed_inputs(tmp_path, capsys):
     assert run_cli("--quiet", "tokens", "test", str(tmp_path / "bad_tok.json"),
                    "--subset", "1") == 2
     capsys.readouterr()
+
+
+def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
+    outdir = tmp_path / "shares"
+    assert run_cli("--seed", "9", "--quiet", "deal", "--secret", "3",
+                   "--gamma0", "1,2,3", "--parties", "5",
+                   "--outdir", str(outdir)) == 0
+    files = sorted(str(p) for p in outdir.glob("share_*.json"))
+    bad = tmp_path / "bad.json"
+
+    def rewritten(path, change):
+        payload = serial.deserialize(Path(path).read_bytes(), "share-bundle")
+        change(payload["instances"][0])
+        bad.write_bytes(serial.serialize("share-bundle", payload))
+        return str(bad)
+
+    def assert_invalid(*argv):
+        assert run_cli("--quiet", *argv) == 2
+        assert capsys.readouterr().err.startswith("invalid:")
+
+    # a declared width above 64 must not let a huge entry reach int64
+    def widen(inst):
+        inst["a"]["width"], inst["a"]["data"][0] = 100, 2**70
+    assert_invalid("reconstruct", "--shares", rewritten(files[0], widen))
+
+    # nesting deep enough to exhaust the parser's recursion limit
+    bad.write_bytes(b"[" * 200_000)
+    assert_invalid("reconstruct", "--shares", str(bad))
+
+    # a chain member's encoding with one row removed, at every chain position
+    def drop_row(inst):
+        inst["d"]["rows"] -= 1
+        inst["d"]["data"] = inst["d"]["data"][: -inst["d"]["cols"]]
+    for victim in range(3):
+        shares = [rewritten(f, drop_row) if i == victim else f
+                  for i, f in enumerate(files[:3])]
+        assert_invalid("reconstruct", "--shares", ",".join(shares))
+        assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3")
 
 
 def test_pad_marker_collision_guard():

@@ -44,8 +44,7 @@ def test_params_validation():
         LweParams(n=4, p=31, q=31 * 31 * 4)       # p divides c
     with pytest.raises(ValueError):
         LweParams(n=4, p=31, q=2**23)             # p does not divide q
-    with pytest.raises(ValueError):
-        LweParams(n=4, p=31, q=31 * 1000, q_prime=31 * 5000)  # window violated
+    assert modswitch_window_ok(31, 31 * 1000, 31 * 5000) is False   # window violated
 
 
 def test_det_int_matches_numpy():
