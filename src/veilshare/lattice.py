@@ -133,8 +133,12 @@ class LweParams:
             raise ValueError("p must be prime")
         if self.q % self.p != 0 or (self.q // self.p) % self.p == 0:
             raise ValueError("need q = p*c with p not dividing c")
+        if self.q >= 1 << 62:
+            raise ValueError("q must be below 2**62 to keep chain products in int64")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if not self.c_bound > 0:
+            raise ValueError("c_bound must be positive")
 
     @property
     def d(self) -> int:

@@ -1,20 +1,29 @@
 """Canonical, self-describing serialization.
 
-Documents are JSON objects {"schema": <kind>, "version": 1, "payload": ...}
+Documents are JSON objects {"schema": <kind>, "version": 2, "payload": ...}
 rendered with sorted keys and no whitespace, so a fixed input always
-produces the same bytes.  Integers are arbitrary precision (JSON numbers
-are decimal strings); floats are refused outright to keep byte output
-platform independent.  Matrices carry explicit shape and a declared
-bit width of 64 that is enforced on load.
+produces the same bytes.  Integers are arbitrary precision; floats are
+refused outright to keep byte output platform independent.  Documents of
+any other version are refused.
+
+Binary fields are canonical base64 text.  A matrix document is
+{"rows", "cols", "bits", "b64"}: its int64 entries, row-major, each
+written as a `bits`-wide two's-complement field, packed least significant
+bit first into bytes, and base64 encoded; the unused bits of the last
+byte are zero.  `bits` is the fewest that hold every entry, so it is a
+function of the data and a fixed input still gives fixed bytes.  The
+loader refuses any document that would not serialize back to the same
+bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
 
-VERSION = 1
+VERSION = 2
 
 KNOWN_SCHEMAS = {
     "set-system",
@@ -73,31 +82,77 @@ def deserialize(data: bytes, expect_kind: str | None = None):
     return doc["payload"]
 
 
-_WIDTH = 64                  # bits per matrix entry, the only width on the wire
-_LIMIT = 1 << (_WIDTH - 1)
+_LIMIT = 1 << 63         # matrix entries are int64 on the wire
+
+
+def to_b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def from_b64(text) -> bytes:
+    """Bytes of a strict, canonical base64 string; anything else is refused."""
+    if not isinstance(text, str):
+        raise SerializationError("binary field must be a base64 string")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:                   # binascii.Error or non-ASCII text
+        raise SerializationError(f"invalid base64: {exc}") from exc
+    if to_b64(data) != text:                    # nonzero unused bits in the last digit
+        raise SerializationError("base64 is not in canonical form")
+    return data
+
+
+def _signed_width(arr: np.ndarray) -> int:
+    """Fewest two's-complement bits holding every entry of an int64 array."""
+    magnitude = int(np.max(arr ^ (arr >> 63), initial=0))   # v for v >= 0, ~v for v < 0
+    return magnitude.bit_length() + 1
 
 
 def matrix_doc(mat) -> dict:
     arr = np.asarray(mat)
-    flat = [int(v) for v in arr.reshape(-1)]
-    if any(not -_LIMIT <= v < _LIMIT for v in flat):
-        raise SerializationError(f"matrix entry exceeds width {_WIDTH}")
-    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
-            "width": _WIDTH, "data": flat}
+    if arr.ndim != 2:
+        raise SerializationError("a matrix document holds a 2-d array")
+    if arr.dtype != np.int64:                   # e.g. object arrays of Python ints
+        entries = [int(v) for v in arr.flat]
+        if any(not -_LIMIT <= v < _LIMIT for v in entries):
+            raise SerializationError("matrix entry does not fit 64 bits")
+        arr = np.array(entries, dtype=np.int64).reshape(arr.shape)
+    flat = np.ascontiguousarray(arr, dtype="<i8").reshape(-1)
+    bits = _signed_width(flat)
+    planes = np.unpackbits(flat.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    packed = np.packbits(planes[:, :bits], bitorder="little")
+    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "bits": bits,
+            "b64": to_b64(packed.tobytes())}
 
 
 def doc_matrix(doc: dict) -> np.ndarray:
     try:
-        rows, cols, width, data = doc["rows"], doc["cols"], doc["width"], doc["data"]
+        rows, cols, bits, text = doc["rows"], doc["cols"], doc["bits"], doc["b64"]
     except (KeyError, TypeError) as exc:
         raise SerializationError("matrix document is missing fields") from exc
-    if width != _WIDTH:
-        raise SerializationError(f"matrix width must be {_WIDTH}, not {width!r}")
-    if rows * cols != len(data):
+    if any(type(v) is not int for v in (rows, cols, bits)):
+        raise SerializationError("matrix rows, cols and bits must be integers")
+    if rows < 0 or cols < 0:
+        raise SerializationError("matrix shape must be nonnegative")
+    if not 1 <= bits <= 64:
+        raise SerializationError(f"matrix bits must lie in [1, 64], not {bits}")
+    data = from_b64(text)
+    count = rows * cols
+    if len(data) != -(-count * bits // 8):
         raise SerializationError("matrix length does not match its shape")
-    if any(not isinstance(v, int) or not -_LIMIT <= v < _LIMIT for v in data):
-        raise SerializationError("matrix entry exceeds declared width")
-    return np.array(data, dtype=np.int64).reshape(rows, cols)
+    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    if stream[count * bits:].any():
+        raise SerializationError("matrix pad bits must be zero")
+    planes = np.empty((count, 64), dtype=np.uint8)
+    planes[:, :bits] = stream[: count * bits].reshape(count, bits)
+    planes[:, bits:] = planes[:, bits - 1: bits]          # sign extension
+    flat = np.packbits(planes, axis=1, bitorder="little").view("<i8").reshape(-1)
+    if _signed_width(flat) != bits:
+        raise SerializationError("matrix bits is not the minimal width of its data")
+    try:
+        return flat.astype(np.int64, copy=False).reshape(rows, cols)
+    except ValueError as exc:                   # an empty matrix of absurd shape
+        raise SerializationError(f"matrix shape is out of range: {exc}") from exc
 
 
 def set_system_doc(system) -> dict:

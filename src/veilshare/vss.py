@@ -141,18 +141,21 @@ class InstanceShare:
             "token": sorted(self.token.elements),
             "a": serial.matrix_doc(self.a_matrix),
             "d": serial.matrix_doc(self.d_matrix),
-            "header_ct": self.header_ct.hex(),
+            "header_ct": serial.to_b64(self.header_ct),
         }
 
     @classmethod
     def from_doc(cls, doc: dict, party: int) -> "InstanceShare":
         try:
+            token = doc["token"]
+            if not isinstance(token, list) or any(type(v) is not int for v in token):
+                raise serial.SerializationError("token must be a list of integers")
             return cls(
                 instance_id=doc["instance_id"],
-                token=TokenPack(party, frozenset(doc["token"]), doc["instance_id"]),
+                token=TokenPack(party, frozenset(token), doc["instance_id"]),
                 a_matrix=serial.doc_matrix(doc["a"]),
                 d_matrix=serial.doc_matrix(doc["d"]),
-                header_ct=bytes.fromhex(doc["header_ct"]),
+                header_ct=serial.from_b64(doc["header_ct"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise serial.SerializationError(f"malformed instance share: {exc}") from exc

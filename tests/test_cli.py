@@ -1,8 +1,11 @@
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veilshare import serial
 from veilshare.cli import main
@@ -18,7 +21,7 @@ from veilshare.vss import VssParams
 
 def test_empty_report_fixed_bytes():
     blob = serial.serialize("empty-report", {})
-    assert blob == b'{"payload":{},"schema":"empty-report","version":1}\n'
+    assert blob == b'{"payload":{},"schema":"empty-report","version":2}\n'
     assert serial.deserialize(blob, "empty-report") == {}
 
 
@@ -63,18 +66,92 @@ def test_set_system_doc_bounds_checked():
         serial.doc_set_system({"m": 15})
 
 
+MATRIX = np.array([[1, -2, 3]])          # 3 bits each: 9 bits, 7 pad bits
+MATRIX_DOC = serial.matrix_doc(MATRIX)
+MATRIX_BYTES = base64.b64decode(MATRIX_DOC["b64"])
+
+
 def test_matrix_width_enforced():
     doc = serial.matrix_doc(np.array([[1, 2], [3, 4]]))
-    assert doc["width"] == 64
+    assert doc["bits"] == 4
     assert (serial.doc_matrix(doc) == [[1, 2], [3, 4]]).all()
     with pytest.raises(serial.SerializationError):
         serial.matrix_doc(np.array([[2**63]], dtype=object))
-    doc["data"][0] = 2**63
+    for bits in (0, 65, True):
+        with pytest.raises(serial.SerializationError):
+            serial.doc_matrix({**doc, "bits": bits})
+    # 1, -2, 3 as 3-bit fields, low bit first: 100 011 110 -> 0xF1 0x00
+    assert MATRIX_DOC == {"rows": 1, "cols": 3, "bits": 3, "b64": "8QA="}
+    assert (serial.doc_matrix(MATRIX_DOC) == MATRIX).all()
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode()
+
+
+def packed_by_loop(mat, bits: int) -> str:
+    """Reference packing: each entry's low `bits` bits, least significant first."""
+    stream = "".join(format(int(v) & ((1 << bits) - 1), f"0{bits}b")[::-1]
+                     for v in np.asarray(mat).flat)
+    stream += "0" * (-len(stream) % 8)
+    return _b64(bytes(int(stream[i: i + 8][::-1], 2) for i in range(0, len(stream), 8)))
+
+
+def signed_width_by_loop(mat) -> int:
+    return max((int(v).bit_length() if v >= 0 else (-int(v) - 1).bit_length()) + 1
+               for v in [0, *np.asarray(mat).flat])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 130), st.integers(0, 130), st.integers(1, 64),
+       st.integers(0, 2**32 - 1))
+def test_matrix_doc_roundtrip(rows, cols, width, seed):
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(lo, hi, size=(rows, cols), dtype=np.int64, endpoint=True)
+    if mat.size:
+        mat.flat[seed % mat.size] = lo if seed & 1 else hi
+    doc = serial.matrix_doc(mat)
+    assert doc["bits"] == signed_width_by_loop(mat) == (width if mat.size else 1)
+    assert doc["b64"] == packed_by_loop(mat, doc["bits"])
+    back = serial.doc_matrix(doc)
+    assert back.dtype == np.int64 and back.shape == (rows, cols)
+    assert (back == mat).all()
+    assert serial.matrix_doc(back) == doc
+
+
+HOSTILE_MATRIX_DOCS = {
+    **{f"{field}={value!r}": {field: value}
+       for field in ("rows", "cols", "bits") for value in (1.0, "1", True)},
+    "no bits": {"bits": None},
+    "no b64": {"b64": None},
+    "rows=-1": {"rows": -1},
+    "rows=-1,cols=-3": {"rows": -1, "cols": -3},
+    "b64 non-alphabet": {"b64": MATRIX_DOC["b64"][:-1] + "*"},
+    "b64 whitespace": {"b64": " " + MATRIX_DOC["b64"]},
+    "b64 non-ascii": {"b64": "\u00e9" * 4},
+    "b64 a list": {"b64": list(MATRIX_BYTES)},
+    "b64 non-canonical": {"b64": MATRIX_DOC["b64"][:2] + "B="},
+    "one byte short": {"b64": _b64(MATRIX_BYTES[:-1])},
+    "one byte long": {"b64": _b64(MATRIX_BYTES + b"\x00")},
+    "nonzero pad bit": {"b64": _b64(MATRIX_BYTES[:-1] + bytes([MATRIX_BYTES[-1] | 0x80]))},
+    "bits not minimal": {"bits": 4, "b64": packed_by_loop(MATRIX, 4)},
+    "absurd empty shape": {"rows": 10**30, "cols": 0, "bits": 1, "b64": ""},
+}
+
+
+@pytest.mark.parametrize("change", HOSTILE_MATRIX_DOCS.values(), ids=HOSTILE_MATRIX_DOCS)
+def test_matrix_doc_hostile(change):
+    doc = {k: v for k, v in {**MATRIX_DOC, **change}.items() if v is not None}
     with pytest.raises(serial.SerializationError):
         serial.doc_matrix(doc)
-    doc["data"][0], doc["width"] = 1, 8       # 64 is the only width accepted
-    with pytest.raises(serial.SerializationError):
-        serial.doc_matrix(doc)
+
+
+def test_matrix_doc_write_range():
+    serial.matrix_doc(np.array([[-(2**63), 2**63 - 1]], dtype=object))
+    for value in (2**63, -(2**63) - 1):
+        with pytest.raises(serial.SerializationError):
+            serial.matrix_doc(np.array([[value]], dtype=object))
 
 
 # ---------------------------------------------------------------------------
@@ -230,36 +307,65 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
                    "--gamma0", "1,2,3", "--parties", "5",
                    "--outdir", str(outdir)) == 0
     files = sorted(str(p) for p in outdir.glob("share_*.json"))
-    bad = tmp_path / "bad.json"
 
-    def rewritten(path, change):
+    def rewritten(path, change, part=lambda payload: payload["instances"][0]):
         payload = serial.deserialize(Path(path).read_bytes(), "share-bundle")
-        change(payload["instances"][0])
+        change(part(payload))
+        bad = tmp_path / f"bad_{Path(path).name}"
         bad.write_bytes(serial.serialize("share-bundle", payload))
         return str(bad)
 
-    def assert_invalid(*argv):
+    def assert_invalid(*argv, reason=""):
         assert run_cli("--quiet", *argv) == 2
-        assert capsys.readouterr().err.startswith("invalid:")
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and reason in err
 
     # a declared width above 64 must not let a huge entry reach int64
     def widen(inst):
-        inst["a"]["width"], inst["a"]["data"][0] = 100, 2**70
+        inst["a"]["bits"] = 100
     assert_invalid("reconstruct", "--shares", rewritten(files[0], widen))
 
     # nesting deep enough to exhaust the parser's recursion limit
+    bad = tmp_path / "bad.json"
     bad.write_bytes(b"[" * 200_000)
     assert_invalid("reconstruct", "--shares", str(bad))
 
     # a chain member's encoding with one row removed, at every chain position
     def drop_row(inst):
-        inst["d"]["rows"] -= 1
-        inst["d"]["data"] = inst["d"]["data"][: -inst["d"]["cols"]]
+        inst["d"] = serial.matrix_doc(serial.doc_matrix(inst["d"])[:-1])
     for victim in range(3):
         shares = [rewritten(f, drop_row) if i == victim else f
                   for i, f in enumerate(files[:3])]
         assert_invalid("reconstruct", "--shares", ",".join(shares))
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3")
+
+    # token elements must be integers: a string would iterate as characters
+    def stringify_token(inst):
+        inst["token"] = "abc"
+    shares = [rewritten(files[0], stringify_token), *files[1:3]]
+    assert_invalid("reconstruct", "--shares", ",".join(shares), reason="token")
+
+    # parameters that would divide by zero or overflow int64 in the chain walk
+    def params(payload):
+        return payload["params"]
+    for field, value in (("c_bound_milli", 0), ("q", 31 * 2**70 + 31)):
+        def change(doc):
+            doc[field] = value
+        shares = [rewritten(f, change, params) for f in files[:3]]
+        assert_invalid("reconstruct", "--shares", ",".join(shares), reason="must be")
+        assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
+                       reason="must be")
+
+    # a version-1 share is refused as such, not misread
+    doc = json.loads(Path(files[0]).read_bytes())
+    doc["version"] = 1
+    bad.write_bytes(json.dumps(doc).encode())
+    assert_invalid("reconstruct", "--shares", str(bad), reason="unsupported version")
+
+
+def test_cli_simulate_rejects_nonpositive_c_bound(capsys):
+    assert run_cli("--quiet", "simulate", "--trials", "1", "--c-bound", "0") == 2
+    assert "c_bound must be positive" in capsys.readouterr().err
 
 
 def test_pad_marker_collision_guard():
