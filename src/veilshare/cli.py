@@ -150,8 +150,7 @@ def _vss_params(args) -> VssParams:
     from .lattice import LweParams, find_q
 
     lwe = LweParams(n=args.n, p=args.p, q=find_q(args.p, args.q_bits),
-                    lam=args.lam, c_bound=args.c_bound,
-                    resample_cap=args.resample_cap, prim_cap=args.prim_cap)
+                    lam=args.lam, c_bound=args.c_bound)
     return VssParams(lwe)
 
 
@@ -232,7 +231,6 @@ def cmd_simulate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="veilshare", description=__doc__)
     top.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    top.add_argument("--format", choices=["json"], default="json")
     top.add_argument("--quiet", action="store_true")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -278,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="norm-cap parameter: caps are s*sqrt(lam), sigma*sqrt(lam)")
         p.add_argument("--c-bound", type=float, default=4.0,
                        help="inversion residual bound is q/(c_bound*p*d)")
-        p.add_argument("--resample-cap", type=int, default=64,
-                       help="preimage retries against the norm cap")
-        p.add_argument("--prim-cap", type=int, default=200000,
-                       help="rejection budget for determinant-pinned secrets")
 
     d = seedable(sub.add_parser("deal"))
     d.add_argument("--secret", type=int, required=True)

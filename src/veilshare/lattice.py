@@ -8,12 +8,12 @@ p with p not dividing c, and need not be a power of two.
 Trapdoor layout.  With d = ceil(log2 q) base-2 digits and w = n*(1+d):
 
     A = [ A_bar                          ]   A_bar uniform, (w_bar x n)
-        [ G tag - R A_bar  (mod q)       ]   R small Gaussian, (n*d x w_bar)
+        [ G - R A_bar  (mod q)           ]   R small Gaussian, (n*d x w_bar)
 
 where G is the digit gadget (n*d x n) with G[i*d + j, i] = 2^j, so that
-[R | I] A = G tag exactly mod q.  Given B = A S + E,
+[R | I] A = G exactly mod q.  Given B = A S + E,
 
-    [R | I] B = G tag S + (R E_top + E_bottom),
+    [R | I] B = G S + (R E_top + E_bottom),
 
 and each length-d digit block (2^j v + e_j) decodes exactly: consecutive
 differences b_{j+1} - 2 b_j lift to e_{j+1} - 2 e_j over the integers
@@ -44,6 +44,9 @@ from fractions import Fraction
 import numpy as np
 
 from .numt import factorize, is_prime, is_primitive_root
+
+PREIMAGE_RESAMPLES = 64          # preimage retries against the norm cap
+PRIM_TRIES = 200_000             # rejection budget for secret sampling
 
 
 class InversionError(ValueError):
@@ -89,23 +92,6 @@ def det_int(mat) -> int:
     return sign * m[-1][-1]
 
 
-def inv_mod_matrix(mat, q: int) -> np.ndarray:
-    """Inverse of a small integer matrix mod q via the adjugate."""
-    a = np.asarray(mat, dtype=object)
-    n = a.shape[0]
-    if (a == np.eye(n, dtype=object)).all():
-        return np.eye(n, dtype=np.int64)
-    d = det_int(a) % q
-    if math.gcd(d, q) != 1:
-        raise ValueError("matrix is singular mod q")
-    adj = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * det_int(minor)
-    return np.mod(adj * pow(d, -1, q), q).astype(np.int64)
-
-
 def find_q(p: int, bits: int) -> int:
     """Largest q <= 2^bits with q = p*c and p not dividing c."""
     if not is_prime(p):
@@ -125,8 +111,6 @@ class LweParams:
     q: int
     lam: int = 512
     c_bound: float = 4.0             # inversion residual bound is q / (c_bound * p * d)
-    resample_cap: int = 64           # preimage retries against the norm cap
-    prim_cap: int = 200_000          # rejection budget for secret sampling
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -293,7 +277,6 @@ class TrapdoorMatrix:
     params: LweParams
     A: np.ndarray          # (w, n) mod q
     R: np.ndarray          # (n*d, w_bar), small
-    tag: np.ndarray        # (n, n), invertible mod q
 
     def gadget_block(self) -> np.ndarray:
         n, d = self.params.n, self.params.d
@@ -303,30 +286,24 @@ class TrapdoorMatrix:
         return g
 
     def relation_residual(self) -> np.ndarray:
-        """([R | I] A - G tag) mod q; all zero for a well-formed trapdoor."""
+        """([R | I] A - G) mod q; all zero for a well-formed trapdoor."""
         q = self.params.q
         wb = self.params.w_bar
         left = matmul_mod(self.R, self.A[:wb], q)
         combined = np.mod(left + self.A[wb:], q)
-        return np.mod(combined - matmul_mod(self.gadget_block(), self.tag, q), q)
+        return np.mod(combined - self.gadget_block(), q)
 
 
-def trapdoor_gen(params: LweParams, tag: np.ndarray | None = None,
+def trapdoor_gen(params: LweParams,
                  rng: np.random.Generator | None = None) -> TrapdoorMatrix:
     """Sample A with a planted gadget trapdoor; the top block is uniform."""
     if rng is None:
         rng = np.random.default_rng()
     n, q, d = params.n, params.q, params.d
-    if tag is None:
-        tag = np.eye(n, dtype=np.int64)
-    tag = np.asarray(tag, dtype=np.int64) % q
-    if math.gcd(det_int(tag) % q, q) != 1:
-        raise ValueError("tag must be invertible mod q")
     a_bar = rng.integers(0, q, size=(params.w_bar, n), dtype=np.int64)
     r = sample_dgauss(rng, params.s, (n * d, params.w_bar))
-    trap = TrapdoorMatrix(params, np.zeros((params.w, n), dtype=np.int64), r, tag)
-    gadget = matmul_mod(trap.gadget_block(), tag, q)
-    lower = np.mod(gadget - matmul_mod(r, a_bar, q), q)
+    trap = TrapdoorMatrix(params, np.zeros((params.w, n), dtype=np.int64), r)
+    lower = np.mod(trap.gadget_block() - matmul_mod(r, a_bar, q), q)
     trap.A = np.concatenate([a_bar, lower]).astype(np.int64)
     if trap.relation_residual().any():
         raise RuntimeError("gadget relation failed to hold")
@@ -366,15 +343,13 @@ def lwe_invert(trap: TrapdoorMatrix, b_matrix: np.ndarray, check: bool = True):
         raise ValueError(f"expected B of shape {(params.w, n)}")
     y = np.mod(matmul_mod(trap.R, b[:wb], q) + b[wb:], q)
 
-    v = np.zeros((n, n), dtype=np.int64)
+    s = np.zeros((n, n), dtype=np.int64)
     clean = True
     for i in range(n):
         for col in range(n):
             block = [int(y[i * d + j, col]) for j in range(d)]
-            v[i, col], ok = _decode_digit_block(block, q, d)
+            s[i, col], ok = _decode_digit_block(block, q, d)
             clean = clean and ok
-    tag_inv = inv_mod_matrix(trap.tag, q)
-    s = matmul_mod(tag_inv, v, q).astype(np.int64)
     e = centered(np.mod(b - matmul_mod(trap.A, s, q), q), q)
     if check:
         bound = params.inversion_bound
@@ -391,20 +366,8 @@ def _preimage_sigma_z(params: LweParams) -> float:
     return max(2.2, pooled)
 
 
-def _preimage_syndromes(trap: TrapdoorMatrix, targets: np.ndarray) -> np.ndarray:
-    params = trap.params
-    targets = np.mod(np.asarray(targets, dtype=np.int64), params.q)
-    if targets.ndim == 1:
-        targets = targets[None, :]
-    if targets.shape[1] != params.n:
-        raise ValueError(f"targets must have {params.n} columns")
-    tag_inv = inv_mod_matrix(trap.tag, params.q)
-    return targets, np.asarray(matmul_mod(targets, tag_inv, params.q), dtype=np.int64)
-
-
 def sample_preimage_batch(traps: list[TrapdoorMatrix], targets_list: list[np.ndarray],
-                          rng: np.random.Generator,
-                          max_resample: int = 64) -> list[np.ndarray]:
+                          rng: np.random.Generator) -> list[np.ndarray]:
     """Preimage matrices for several trapdoors sharing one parameter set.
 
     The coset walk depends only on (q, d) and the syndromes, so all
@@ -422,22 +385,24 @@ def sample_preimage_batch(traps: list[TrapdoorMatrix], targets_list: list[np.nda
     sigma_z = _preimage_sigma_z(params)
     cap = params.encoding_cap
 
-    pairs = [_preimage_syndromes(t, targets) for t, targets in zip(traps, targets_list)]
-    flat = np.concatenate([syn.reshape(-1) for _, syn in pairs])
+    targets_list = [np.mod(np.asarray(t, dtype=np.int64), q) for t in targets_list]
+    if any(t.ndim != 2 or t.shape[1] != n for t in targets_list):
+        raise ValueError(f"targets must be matrices with {n} columns")
+    flat = np.concatenate([t.reshape(-1) for t in targets_list])
     z_all = sample_gadget_cosets(rng, q, d, sigma_z, flat)
 
     outs = []
     offset = 0
-    for trap, (targets, syn) in zip(traps, pairs):
+    for trap, targets in zip(traps, targets_list):
         k = targets.shape[0]
         z = z_all[offset: offset + k * n].reshape(k, n * d)
         offset += k * n
         out = np.concatenate([z @ trap.R.astype(np.int64), z], axis=1)
         todo = np.flatnonzero(np.abs(out).max(axis=1) >= cap)
-        for _ in range(max_resample):
+        for _ in range(PREIMAGE_RESAMPLES):
             if todo.size == 0:
                 break
-            z_new = sample_gadget_cosets(rng, q, d, sigma_z, syn[todo].reshape(-1))
+            z_new = sample_gadget_cosets(rng, q, d, sigma_z, targets[todo].reshape(-1))
             z_new = z_new.reshape(len(todo), n * d)
             cand = np.concatenate([z_new @ trap.R.astype(np.int64), z_new], axis=1)
             good = np.abs(cand).max(axis=1) < cap
@@ -450,18 +415,6 @@ def sample_preimage_batch(traps: list[TrapdoorMatrix], targets_list: list[np.nda
             raise RuntimeError("preimage congruence violated")
         outs.append(out)
     return outs
-
-
-def sample_preimage_matrix(trap: TrapdoorMatrix, targets: np.ndarray,
-                           rng: np.random.Generator, max_resample: int = 64) -> np.ndarray:
-    """Rows d_r with d_r^T A = targets[r] mod q and ||d_r||_inf < sigma*sqrt(lambda)."""
-    return sample_preimage_batch([trap], [np.asarray(targets)], rng, max_resample)[0]
-
-
-def sample_preimage(trap: TrapdoorMatrix, target: np.ndarray,
-                    rng: np.random.Generator, max_resample: int = 64) -> np.ndarray:
-    return sample_preimage_matrix(trap, np.asarray(target)[None, :], rng,
-                                  max_resample)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +471,7 @@ class PrimSecret:
 
 
 def sample_prim_secret(n: int, p: int, rng: np.random.Generator,
-                       det_value: int | None = None,
-                       max_tries: int = 200_000) -> PrimSecret:
+                       det_value: int | None = None) -> PrimSecret:
     """Rejection-sample a uniform matrix whose determinant generates Z_p^*.
 
     With ``det_value`` the determinant is additionally pinned to that
@@ -531,7 +483,7 @@ def sample_prim_secret(n: int, p: int, rng: np.random.Generator,
         raise ValueError("requested determinant is not a generator")
     roots = {k for k in range(1, p) if is_primitive_root(k, p)}
     batch = 256
-    for _ in range(max(1, max_tries // batch)):
+    for _ in range(PRIM_TRIES // batch):
         mats = rng.integers(0, p, size=(batch, n, n), dtype=np.int64)
         dets = batch_det_mod(mats, p)
         for i in range(batch):

@@ -1,6 +1,6 @@
 """Canonical, self-describing serialization.
 
-Documents are JSON objects {"schema": <kind>, "version": 2, "payload": ...}
+Documents are JSON objects {"schema": <kind>, "version": 3, "payload": ...}
 rendered with sorted keys and no whitespace, so a fixed input always
 produces the same bytes.  Integers are arbitrary precision; floats are
 refused outright to keep byte output platform independent.  Documents of
@@ -23,7 +23,7 @@ import json
 
 import numpy as np
 
-VERSION = 2
+VERSION = 3
 
 KNOWN_SCHEMAS = {
     "set-system",

@@ -137,7 +137,6 @@ class SetSystem:
     universe_size: int
     sets: np.ndarray                      # (N, h) bool
     labels: list = field(default_factory=list)
-    element_ids: list = field(default_factory=list)
 
     def __post_init__(self):
         self.sets = np.asarray(self.sets, dtype=bool)
@@ -186,7 +185,6 @@ def build_grolmusz_system(params: GrolmuszParams) -> SetSystem:
     q_poly = build_bbr_polynomial(m, n)
     monomials = q_poly.monomials()
 
-    element_ids = []
     offsets = {}
     pos = 0
     for mono in monomials:
@@ -195,8 +193,6 @@ def build_grolmusz_system(params: GrolmuszParams) -> SetSystem:
         for copy in range(c):
             offsets[(mono, copy)] = pos
             pos += block_count
-            for block in range(block_count):
-                element_ids.append(("blk", mono, copy, block))
     universe = pos
 
     labels = list(itertools.product(range(n), repeat=n))
@@ -209,7 +205,7 @@ def build_grolmusz_system(params: GrolmuszParams) -> SetSystem:
             for copy in range(q_poly.coeffs[mono]):
                 sets[row, offsets[(mono, copy)] + block] = True
 
-    system = SetSystem(m, universe, sets, labels=labels, element_ids=element_ids)
+    system = SetSystem(m, universe, sets, labels=labels)
     if len(system) != n**n:
         raise RuntimeError("construction produced a wrong number of sets")
     sizes = system.sizes()
@@ -250,18 +246,15 @@ def merge_systems(g_system: SetSystem, l: int) -> SetSystem:
     if h != a + l * (g - a) + (l - 1) * a:
         raise RuntimeError("universe bookkeeping is off")
 
-    element_ids: list = [("core", int(i)) for i in core_idx]
     maps = []
     pos = a
     for copy in range(l):
         cmap = np.empty(g, dtype=np.int64)
         cmap[core_idx] = np.arange(a)
         cmap[rest_idx] = np.arange(pos, pos + (g - a))
-        element_ids.extend(("copy", copy, int(i)) for i in rest_idx)
         pos += g - a
         maps.append(cmap)
     pad_idx = np.arange(pos, pos + (l - 1) * a)
-    element_ids.extend(("pad", int(j)) for j in range((l - 1) * a))
     pos += (l - 1) * a
     assert pos == h
 
@@ -286,7 +279,7 @@ def merge_systems(g_system: SetSystem, l: int) -> SetSystem:
         labels.append(("union", combo))
         row += 1
 
-    merged = SetSystem(g_system.modulus, h, sets, labels=labels, element_ids=element_ids)
+    merged = SetSystem(g_system.modulus, h, sets, labels=labels)
     if len(merged) != s**l + l * s:
         raise RuntimeError("merge produced a wrong number of sets")
     return merged
@@ -296,11 +289,6 @@ def universe_bound_applies(m: Modulus, n: int) -> bool:
     """Whether the explicit universe bound's precondition n >= (4m)^(1+1/(r-1)) holds."""
     r = len(m.factorization)
     return n ** (r - 1) >= (4 * m.m) ** r
-
-
-def universe_bound(m: Modulus, n: int, l: int) -> int:
-    root = integer_root_ceil(n, len(m.factorization))
-    return 2 * l * (m.m - 1) * n ** (4 * m.m * root)
 
 
 @dataclass

@@ -101,7 +101,7 @@ def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M_PRIME,
     g = build_grolmusz_system(GrolmuszParams(mod_prime, n, l=l))
     merged = merge_systems(g, l)
     base_view = SetSystem(Modulus.of(m), merged.universe_size, merged.sets,
-                          labels=merged.labels, element_ids=merged.element_ids)
+                          labels=merged.labels)
     return base_view, merged
 
 

@@ -37,6 +37,7 @@ import hashlib
 import hmac as hmac_mod
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,6 +59,10 @@ from .lattice import (
 from .numt import is_primitive_root
 from .rng import named_stream
 from .tokens import (
+    DEFAULT_L,
+    DEFAULT_M,
+    DEFAULT_M_PRIME,
+    DEFAULT_N,
     TokenPack,
     combine_tokens,
     default_token_systems,
@@ -94,37 +99,32 @@ class Secret:
 
 @dataclass(frozen=True)
 class VssParams:
+    """A lattice profile; every dealing uses the one default token system."""
+
     lwe: LweParams
-    token_m: int = 39
-    token_m_prime: int = 195
-    token_n: int = 3
-    token_l: int = 2
-    share_rho_half: bool = True       # exponent 1/2 in the share-size bound
-    share_c_h: int = 8
+    token_m: ClassVar[int] = DEFAULT_M
+    token_m_prime: ClassVar[int] = DEFAULT_M_PRIME
+    token_n: ClassVar[int] = DEFAULT_N
+    token_l: ClassVar[int] = DEFAULT_L
 
     @classmethod
-    def desk(cls, p: int = 31, q_bits: int = 30, n: int = 4, **kw) -> "VssParams":
-        return cls(LweParams(n=n, p=p, q=find_q(p, q_bits)), **kw)
+    def desk(cls, p: int = 31, q_bits: int = 30, n: int = 4) -> "VssParams":
+        return cls(LweParams(n=n, p=p, q=find_q(p, q_bits)))
 
     def to_doc(self) -> dict:
-        return {
-            "n": self.lwe.n, "p": self.lwe.p, "q": self.lwe.q,
-            "lam": self.lwe.lam, "c_bound_milli": int(self.lwe.c_bound * 1000),
-            "resample_cap": self.lwe.resample_cap, "prim_cap": self.lwe.prim_cap,
-            "token_m": self.token_m, "token_m_prime": self.token_m_prime,
-            "token_n": self.token_n, "token_l": self.token_l,
-            "share_rho_half": self.share_rho_half, "share_c_h": self.share_c_h,
-        }
+        return {"n": self.lwe.n, "p": self.lwe.p, "q": self.lwe.q, "lam": self.lwe.lam,
+                "c_bound_milli": int(self.lwe.c_bound * 1000)}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "VssParams":
-        lwe = LweParams(n=doc["n"], p=doc["p"], q=doc["q"], lam=doc["lam"],
-                        c_bound=doc["c_bound_milli"] / 1000,
-                        resample_cap=doc.get("resample_cap", 64),
-                        prim_cap=doc.get("prim_cap", 200_000))
-        return cls(lwe, token_m=doc["token_m"], token_m_prime=doc["token_m_prime"],
-                   token_n=doc["token_n"], token_l=doc["token_l"],
-                   share_rho_half=doc["share_rho_half"], share_c_h=doc["share_c_h"])
+        fields = ("n", "p", "q", "lam", "c_bound_milli")
+        # type() is int refuses JSON booleans, which isinstance would let through
+        if not isinstance(doc, dict) or doc.keys() != set(fields) \
+                or any(type(doc[f]) is not int for f in fields):
+            raise serial.SerializationError(
+                f"params must be exactly the integers {', '.join(fields)}")
+        return cls(LweParams(n=doc["n"], p=doc["p"], q=doc["q"], lam=doc["lam"],
+                             c_bound=doc["c_bound_milli"] / 1000))
 
 
 @dataclass
@@ -147,12 +147,14 @@ class InstanceShare:
     @classmethod
     def from_doc(cls, doc: dict, party: int) -> "InstanceShare":
         try:
-            token = doc["token"]
+            token, instance_id = doc["token"], doc["instance_id"]
             if not isinstance(token, list) or any(type(v) is not int for v in token):
                 raise serial.SerializationError("token must be a list of integers")
+            if not isinstance(instance_id, str):
+                raise serial.SerializationError("instance_id must be a string")
             return cls(
-                instance_id=doc["instance_id"],
-                token=TokenPack(party, frozenset(token), doc["instance_id"]),
+                instance_id=instance_id,
+                token=TokenPack(party, frozenset(token), instance_id),
                 a_matrix=serial.doc_matrix(doc["a"]),
                 d_matrix=serial.doc_matrix(doc["d"]),
                 header_ct=serial.from_b64(doc["header_ct"]),
@@ -183,7 +185,9 @@ class ShareBundle:
     @classmethod
     def from_doc(cls, doc: dict) -> "ShareBundle":
         try:
-            party = int(doc["party"])
+            party = doc["party"]
+            if type(party) is not int or party < 1:
+                raise serial.SerializationError("party must be an integer of at least 1")
             params = VssParams.from_doc(doc["params"])
             instances = [InstanceShare.from_doc(d, party) for d in doc["instances"]]
         except serial.SerializationError:
@@ -280,8 +284,9 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
     gamma0 = _validate_gamma0(gamma0, parties)
     lwe = params.lwe
     p, q, n = lwe.p, lwe.q, lwe.n
-    h_sys, h_prime_sys = default_token_systems(
-        params.token_m, params.token_m_prime, params.token_n, params.token_l)
+    # positional, as every caller passes them, so the lru_cache builds them once
+    h_sys, h_prime_sys = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME,
+                                               DEFAULT_N, DEFAULT_L)
 
     per_party: dict[int, list[InstanceShare]] = {i: [] for i in range(1, parties + 1)}
     for idx, omega in enumerate(gamma0):
@@ -294,8 +299,7 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
 
         order = [int(v) for v in rng.permutation(np.array(omega))]
         exps = _draw_exponents(rng, len(order), p)
-        s_secret = sample_prim_secret(n, p, rng, det_value=secret.k,
-                                      max_tries=lwe.prim_cap)
+        s_secret = sample_prim_secret(n, p, rng, det_value=secret.k)
         s_pows = [matrix_power_mod(s_secret.S, e, p) for e in exps]
 
         product = np.eye(n, dtype=object)
@@ -318,8 +322,7 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
                          for party in outsiders}
         encodings = sample_preimage_batch(
             [chain[pos] for pos in range(len(order))] + [decoys[p] for p in outsiders],
-            link_targets + [decoy_targets[p] for p in outsiders], rng,
-            max_resample=lwe.resample_cap)
+            link_targets + [decoy_targets[p] for p in outsiders], rng)
         d_mats = encodings[: len(order)]
         decoy_d = dict(zip(outsiders, encodings[len(order):]))
 
@@ -361,19 +364,22 @@ def _opened_chains(bundles: list[ShareBundle]):
 
     Yields (shares by party, header payload, terminal trapdoor) for every
     instance whose tokens certify the coalition, with header and trapdoor
-    None when the header fails to authenticate.  Bundles must come from
-    one dealing.
+    None when the header fails to authenticate or its chain order names a
+    party outside the coalition.  Bundles must come from one dealing and
+    name distinct parties.
     """
+    if len({b.party for b in bundles}) != len(bundles):
+        raise VssError("two shares name the same party")
     per_bundle = [sorted(i.instance_id for i in b.instances) for b in bundles]
     if any(ids != per_bundle[0] for ids in per_bundle[1:]):
         raise VssError("bundles disagree on instances: not from one dealing")
     params = bundles[0].params
-    if any(b.params.to_doc() != params.to_doc() for b in bundles[1:]):
+    if any(b.params != params for b in bundles[1:]):
         raise VssError("bundles disagree on parameters: not from one dealing")
     for instance_id in per_bundle[0]:
         shares = {b.party: b.instance(instance_id) for b in bundles}
         combined = combine_tokens([s.token for s in shares.values()])
-        if not membership_test(combined, params.token_m, params.token_m_prime):
+        if not membership_test(combined, DEFAULT_M, DEFAULT_M_PRIME):
             continue
         try:
             header_bytes = open_header(tuple(sorted(combined)), instance_id,
@@ -382,9 +388,11 @@ def _opened_chains(bundles: list[ShareBundle]):
         except (VssError, serial.SerializationError):
             yield shares, None, None
             continue
+        if not set(header["order"]) <= shares.keys():
+            yield shares, None, None
+            continue
         trap = TrapdoorMatrix(params.lwe, serial.doc_matrix(header["a_term"]),
-                              serial.doc_matrix(header["r_term"]),
-                              np.eye(params.lwe.n, dtype=np.int64))
+                              serial.doc_matrix(header["r_term"]))
         yield shares, header, trap
 
 
@@ -413,7 +421,7 @@ def reconstruct(bundles: list[ShareBundle]) -> Secret:
     for shares, header, trap in _opened_chains(bundles):
         certified = True
         if header is None:
-            corruption = "header failed to authenticate"
+            corruption = "header failed to open for this coalition"
             continue
         try:
             k = _decode_suffix(shares, header["order"], 0, trap, check=True)

@@ -24,7 +24,7 @@ from veilshare.lattice import (
     lwe_invert,
     modswitch_window_ok,
     prim_acceptance_fraction,
-    sample_preimage_matrix,
+    sample_preimage_batch,
     trapdoor_gen,
 )
 from veilshare.numt import Modulus
@@ -244,7 +244,7 @@ def test_criterion_06_trapdoor_roundtrip():
                 recovered += int((s_rec == s).all() and (e_rec == e).all())
 
             targets = rng.integers(0, params.q, size=(1000, 4), dtype=np.int64)
-            d = sample_preimage_matrix(trap, targets, rng)
+            d = sample_preimage_batch([trap], [targets], rng)[0]
             exact = int((np.mod(d.astype(object) @ trap.A.astype(object), params.q)
                          == targets).all())
             max_norm = int(np.abs(d).max())
@@ -344,8 +344,7 @@ def test_criterion_09_share_size_bound():
             bundles = deal(secret, [(1, 2, 3)], 5, params, seed=SEED + 9)
             blobs = serialize_bundles(bundles)
             universe = 12948 + 3 + 2     # token system universe plus tags
-            bound = max_share_size(5, params.lwe.q, universe,
-                                   rho=0.5, c_h=params.share_c_h)
+            bound = max_share_size(5, params.lwe.q, universe, rho=0.5)
             return {"lengths": [len(b) for b in blobs], "bound": bound}
 
         payload, _ = deterministic("empty-report", build)

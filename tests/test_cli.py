@@ -21,7 +21,7 @@ from veilshare.vss import VssParams
 
 def test_empty_report_fixed_bytes():
     blob = serial.serialize("empty-report", {})
-    assert blob == b'{"payload":{},"schema":"empty-report","version":2}\n'
+    assert blob == b'{"payload":{},"schema":"empty-report","version":3}\n'
     assert serial.deserialize(blob, "empty-report") == {}
 
 
@@ -312,7 +312,8 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         payload = serial.deserialize(Path(path).read_bytes(), "share-bundle")
         change(part(payload))
         bad = tmp_path / f"bad_{Path(path).name}"
-        bad.write_bytes(serial.serialize("share-bundle", payload))
+        bad.write_text(json.dumps(
+            {"schema": "share-bundle", "version": serial.VERSION, "payload": payload}))
         return str(bad)
 
     def assert_invalid(*argv, reason=""):
@@ -356,11 +357,57 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
                        reason="must be")
 
-    # a version-1 share is refused as such, not misread
-    doc = json.loads(Path(files[0]).read_bytes())
-    doc["version"] = 1
-    bad.write_bytes(json.dumps(doc).encode())
-    assert_invalid("reconstruct", "--shares", str(bad), reason="unsupported version")
+    # params are exactly five integers: no JSON booleans, floats or extra fields
+    for field, value in (("n", True), ("p", 31.0), ("token_m", 39)):
+        def change(doc):
+            doc[field] = value
+        shares = [rewritten(f, change, params) for f in files[:3]]
+        assert_invalid("reconstruct", "--shares", ",".join(shares), reason="params")
+        assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
+                       reason="params")
+
+    # a party label is an integer of at least 1, and no two shares share one
+    def whole(payload):
+        return payload
+    for value in (0, -1, True, 2):
+        def relabel(doc):
+            doc["party"] = value
+        shares = [rewritten(files[0], relabel, whole), *files[1:3]]
+        assert_invalid("reconstruct", "--shares", ",".join(shares), reason="party")
+        assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
+                       reason="party")
+
+    # a label outside the chain leaves the opened header naming a missing party
+    def relabel_99(doc):
+        doc["party"] = 99
+    shares = ",".join([rewritten(files[0], relabel_99, whole), *files[1:3]])
+    assert run_cli("reconstruct", "--shares", shares) == 3
+    assert json.loads(capsys.readouterr().out)["payload"] == {"outcome": "corrupt"}
+    assert run_cli("verify", "--shares", shares, "--secret", "3") == 3
+    assert json.loads(capsys.readouterr().out)["payload"] == {
+        "outcome": "header-unavailable"}
+
+    # shares of a version-2 dealing are refused as such, not misread
+    for version in (1, 2):
+        doc = json.loads(Path(files[0]).read_bytes())
+        doc["version"] = version
+        bad.write_bytes(json.dumps(doc).encode())
+        assert_invalid("reconstruct", "--shares", str(bad), reason="unsupported version")
+
+
+def test_cli_instance_id_must_be_a_string(tmp_path, capsys):
+    outdir = tmp_path / "shares"
+    assert run_cli("--seed", "9", "--quiet", "deal", "--secret", "3",
+                   "--gamma0", "1,2,3;4,5", "--parties", "5",
+                   "--outdir", str(outdir)) == 0
+    payload = serial.deserialize((outdir / "share_001.json").read_bytes(), "share-bundle")
+    payload["instances"][1]["instance_id"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(serial.serialize("share-bundle", payload))
+    shares = ",".join([str(bad), str(outdir / "share_002.json"),
+                       str(outdir / "share_003.json")])
+    assert run_cli("--quiet", "reconstruct", "--shares", shares) == 2
+    assert "instance_id" in capsys.readouterr().err
 
 
 def test_cli_simulate_rejects_nonpositive_c_bound(capsys):
