@@ -135,9 +135,16 @@ def cmd_tokens_test(args) -> int:
         instance_id = payload["instance_id"]
     except (KeyError, TypeError) as exc:
         raise serial.SerializationError(f"malformed token file: {exc}") from exc
+    if not isinstance(tokens, dict) or not isinstance(instance_id, str) \
+            or any(type(v) is not int or v < 2 for v in (m, m_prime)):
+        raise serial.SerializationError(
+            "token file needs a tokens map, a string instance_id and integers m, m_prime >= 2")
     if not subset or any(str(p) not in tokens for p in subset):
         raise ValueError("subset must name parties present in the token file")
-    packs = [TokenPack(p, frozenset(tokens[str(p)]), instance_id) for p in subset]
+    elements = [tokens[str(p)] for p in subset]
+    if any(not isinstance(e, list) or any(type(v) is not int for v in e) for e in elements):
+        raise serial.SerializationError("each token must be a list of integers")
+    packs = [TokenPack(p, frozenset(e), instance_id) for p, e in zip(subset, elements)]
     combined = combine_tokens(packs)
     ok = membership_test(combined, m, m_prime)
     _emit(args, "empty-report", {"subset": list(subset), "authorized": ok})

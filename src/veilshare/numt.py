@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 
 
 def factorize(y: int) -> list[tuple[int, int]]:
-    """Factor a positive integer by trial division; returns [(prime, exponent)]."""
+    """Factor 1 <= y < 2**32 (milliseconds) by trial division; returns [(prime, exponent)]."""
     if y < 1:
         raise ValueError("can only factor positive integers")
+    if y >= 1 << 32:
+        raise ValueError(f"{y} is too large to factor: trial division stops below 2**32")
     out = []
     rem = y
     d = 2

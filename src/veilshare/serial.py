@@ -175,13 +175,17 @@ def doc_set_system(payload: dict):
         m = int(payload["m"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError("set-system document is missing fields") from exc
+    labels = payload.get("labels", [])
+    if not isinstance(rows, list) or not isinstance(labels, list):
+        raise SerializationError("set-system sets and labels must be lists")
     sets = np.zeros((len(rows), h), dtype=bool)
     for i, row in enumerate(rows):
-        idx = np.asarray(row, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= h):
+        if not isinstance(row, list) or any(type(v) is not int for v in row):
+            raise SerializationError("set elements must be integers")
+        if row and (min(row) < 0 or max(row) >= h):
             raise SerializationError("set element outside the declared universe")
-        sets[i, idx] = True
-    return SetSystem(Modulus.of(m), h, sets, labels=list(payload.get("labels", [])))
+        sets[i, row] = True
+    return SetSystem(Modulus.of(m), h, sets, labels=labels)
 
 
 def equalize_lengths(docs: list[dict], kind: str) -> list[bytes]:

@@ -285,6 +285,27 @@ def merge_systems(g_system: SetSystem, l: int) -> SetSystem:
     return merged
 
 
+def merge_layout(merged: SetSystem) -> tuple[int, dict[int, np.ndarray]]:
+    """The merge factor l and, per copy row, the ascending union rows holding it.
+
+    merge_systems writes l*s copy rows, copy by copy, then one union row per
+    combo in itertools.product order.  Copy row c*s + j lies in exactly the
+    s^(l-1) unions that pick j in copy c and holds no member, so every copy
+    row can be the designated set H of the token encoding.
+    """
+    labels = merged.labels
+    last = labels[-1] if len(labels) == len(merged) else None
+    if isinstance(last, tuple) and last[0] == "union":
+        l, s = len(last[1]), last[1][0] + 1
+        combos = list(itertools.product(range(s), repeat=l))
+        layout = [("copy", c) for c in range(l) for _ in range(s)]
+        if [lab[:2] for lab in labels] == layout + [("union", co) for co in combos]:
+            picks = np.array(combos)
+            return l, {c * s + j: l * s + np.flatnonzero(picks[:, c] == j)
+                       for c in range(l) for j in range(s)}
+    raise ValueError("rows are not laid out by merge_systems")
+
+
 def universe_bound_applies(m: Modulus, n: int) -> bool:
     """Whether the explicit universe bound's precondition n >= (4m)^(1+1/(r-1)) holds."""
     r = len(m.factorization)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numt import Modulus
-from .setsys import GrolmuszParams, SetSystem, build_grolmusz_system, merge_systems
+from .setsys import GrolmuszParams, SetSystem, build_grolmusz_system, merge_layout, \
+    merge_systems
 
 DEFAULT_M = 39
 DEFAULT_M_PRIME = 195
@@ -64,8 +65,6 @@ class AccessStructureInstance:
     kappa: int
     m: int
     m_prime: int
-    merge_l: int
-    universe_size: int                 # extended universe (set system + tags)
     h_set: frozenset[int]              # the designated set H
     h_zero: frozenset[int]             # H_0 = H_partial joined with all tags
     assigned_sets: dict[int, frozenset[int]]   # party id -> S_i
@@ -75,9 +74,6 @@ class AccessStructureInstance:
         raw = self.h_zero & self.assigned_sets[party]
         return TokenPack(party, frozenset(int(self.gamma[e]) for e in raw),
                          self.instance_id)
-
-    def tokens(self) -> list[TokenPack]:
-        return [self.token_for(p) for p in range(1, self.party_count + 1)]
 
     def authorized_element_ids(self) -> tuple[int, ...]:
         """gamma(H): the common value every authorized coalition intersects to."""
@@ -105,51 +101,19 @@ def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M_PRIME,
     return base_view, merged
 
 
-def _common_rows(a: SetSystem, b: SetSystem) -> list[int]:
-    if a.universe_size != b.universe_size:
-        raise TokenEncodingError("systems must share one universe")
-    seen = {row.tobytes() for row in b.sets}
-    return [i for i, row in enumerate(a.sets) if row.tobytes() in seen]
+def _encoding_structure(h_prime_system: SetSystem):
+    """(l, candidate H rows, supersets per candidate, element ids), cached on the system.
 
-
-def _encoding_structure(h_system: SetSystem, h_prime_system: SetSystem) -> dict:
-    """Candidate designated sets and their superset lists.
-
-    Cached on h_prime_system for the last h_system it was paired with, so
-    the cache lives exactly as long as the systems do.
+    The rows come from the layout merge_systems wrote.  Every member set is
+    built from the shared int objects in ids, so encoding allocates no ints.
     """
     cached = getattr(h_prime_system, "_encoding_structure", None)
-    if cached is not None and cached[0] is h_system:
-        return cached[1]
-
-    sizes = h_prime_system.sizes()
-    classes = sorted(set(int(v) for v in sizes))
-    if len(classes) != 2 or classes[1] % classes[0] != 0:
-        raise TokenEncodingError("system must have two size classes with integer ratio")
-    merge_l = classes[1] // classes[0]
-
-    common = _common_rows(h_system, h_prime_system)
-    gram = h_prime_system.gram()
-    proper_superset_count = (
-        (gram == sizes[:, None]) & (sizes[:, None] < sizes[None, :])).sum(axis=1)
-    is_proper_superset_of_any = (
-        (gram == sizes[None, :]) & (sizes[None, :] < sizes[:, None])).any(axis=1)
-    n_members = len(h_prime_system)
-    base = int(round(n_members ** (1 / merge_l)))
-    s_count = next((c for c in range(max(1, base - 2), base + 3)
-                    if c**merge_l + merge_l * c == n_members), None)
-    want = s_count ** (merge_l - 1) if s_count else int(proper_superset_count.max())
-    candidates = [i for i in common
-                  if proper_superset_count[i] == want and not is_proper_superset_of_any[i]]
-    supersets = {
-        i: np.flatnonzero((gram[i] == sizes[i]) & (sizes > sizes[i])) for i in candidates}
-    # every member set is built from these shared int objects, so encoding
-    # allocates no ints of its own
-    ids = np.arange(h_prime_system.universe_size).astype(object)
-    structure = {"merge_l": merge_l, "candidates": candidates, "supersets": supersets,
-                 "ids": ids}
-    h_prime_system._encoding_structure = (h_system, structure)
-    return structure
+    if cached is None:
+        merge_l, supersets = merge_layout(h_prime_system)
+        ids = np.arange(h_prime_system.universe_size).astype(object)
+        cached = (merge_l, np.array(list(supersets)), supersets, ids)
+        h_prime_system._encoding_structure = cached
+    return cached
 
 
 def encode_access_structure(party_count: int, omega, h_system: SetSystem,
@@ -158,13 +122,14 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
                             instance_id: str | None = None) -> AccessStructureInstance:
     """Assign member sets to parties so coalitions intersect to H iff authorized.
 
-    The designated H is drawn among sets common to both systems that are
-    proper subsets of exactly s^(l-1) members and proper supersets of
-    none; its supersets supply the other parties.  Tag elements beyond
-    the universe give each Omega-party a punched tail.  kappa defaults to
-    the smallest pad >= 2 keeping l + |Omega| + kappa below the largest
-    prime divisor of m, which is what pins unauthorized intersection
-    sizes away from 0 mod m and mod m'.
+    The designated H is drawn among the copy rows of the merged system,
+    which are proper subsets of exactly s^(l-1) members (the unions that
+    pick them) and proper supersets of none; those unions supply the
+    other parties.  Both systems must hold the same member sets.  Tag
+    elements beyond the universe give each Omega-party a punched tail.
+    kappa defaults to the smallest pad >= 2 keeping l + |Omega| + kappa
+    below the largest prime divisor of m, which is what pins unauthorized
+    intersection sizes away from 0 mod m and mod m'.
     """
     omega = tuple(sorted(set(int(i) for i in omega)))
     if not omega:
@@ -176,8 +141,10 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
     if m_prime % m != 0:
         raise TokenEncodingError("m must divide m'")
 
-    structure = _encoding_structure(h_system, h_prime_system)
-    merge_l = structure["merge_l"]
+    if h_system.sets is not h_prime_system.sets \
+            and not np.array_equal(h_system.sets, h_prime_system.sets):
+        raise TokenEncodingError("the two systems must hold the same member sets")
+    merge_l, candidates, supersets, ids = _encoding_structure(h_prime_system)
 
     max_prime = max(h_system.modulus.primes)
     k = len(omega)
@@ -188,12 +155,8 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
             f"no valid pad: need l + |Omega| + kappa < {max_prime}, "
             f"got l={merge_l}, |Omega|={k}, kappa={kappa}")
 
-    candidates = structure["candidates"]
-    if not candidates:
-        raise TokenEncodingError("no eligible designated set in the common collection")
-
-    h_idx = int(rng.choice(np.array(candidates)))
-    superset_idx = structure["supersets"][h_idx]
+    h_idx = int(rng.choice(candidates))
+    superset_idx = supersets[h_idx]
     if len(superset_idx) < party_count + 1:
         raise TokenEncodingError(
             f"need at least {party_count + 1} supersets, have {len(superset_idx)}")
@@ -203,7 +166,7 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
     tags = list(range(base_h, universe))     # tag j is tags[j-1]
 
     def member(row_idx) -> frozenset[int]:
-        return frozenset(structure["ids"][h_prime_system.sets[row_idx]])
+        return frozenset(ids[h_prime_system.sets[row_idx]])
 
     h_set = member(h_idx)
     draw = rng.choice(superset_idx, size=party_count, replace=False)
@@ -232,8 +195,7 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
 
     return AccessStructureInstance(
         instance_id=instance_id, party_count=party_count, omega=omega,
-        kappa=kappa, m=m, m_prime=m_prime, merge_l=merge_l,
-        universe_size=universe, h_set=h_set, h_zero=h_zero,
+        kappa=kappa, m=m, m_prime=m_prime, h_set=h_set, h_zero=h_zero,
         assigned_sets=assigned, gamma=gamma,
     )
 
@@ -252,9 +214,9 @@ def combine_tokens(packs: list[TokenPack]) -> frozenset[int]:
 
 
 def membership_test(combined, m: int, m_prime: int) -> bool:
-    """Authorized iff the combined cardinality is 0 mod m or 0 mod m'."""
+    """Authorized iff the combined cardinality is nonzero and 0 mod m or 0 mod m'."""
     size = combined if isinstance(combined, int) else len(combined)
-    return size % m == 0 or size % m_prime == 0
+    return size > 0 and (size % m == 0 or size % m_prime == 0)
 
 
 def subset_is_authorized(instance: AccessStructureInstance, subset) -> bool:

@@ -228,6 +228,20 @@ def test_cli_setsys_verify_flags_violations(tmp_path, capsys):
     assert run_cli("setsys", "verify", str(tmp_path / "bad.json")) == 3
 
 
+def test_cli_setsys_verify_rejects_malformed_files(tmp_path, capsys):
+    good = {"m": 15, "universe_size": 30,
+            "sets": [list(range(15)), list(range(15, 30))], "labels": [], "t": 2}
+    # a prime modulus of 2**61-1 would stall trial division for minutes
+    for change in ({"m": 2**61 - 1}, {"labels": 5}, {"sets": [[1.5, 2]]},
+                   {"sets": [[1, True]]}, {"sets": 5}):
+        # plain json.dumps, since serialize refuses to write the float
+        (tmp_path / "bad.json").write_text(json.dumps(
+            {"schema": "set-system", "version": serial.VERSION,
+             "payload": {**good, **change}}))
+        assert run_cli("setsys", "verify", str(tmp_path / "bad.json")) == 2, change
+        assert capsys.readouterr().err.startswith("invalid:")
+
+
 def test_cli_tokens_roundtrip(tmp_path):
     out = tmp_path / "tok.json"
     assert run_cli("--seed", "5", "--quiet", "tokens", "gen", "--parties", "5",
@@ -298,6 +312,20 @@ def test_cli_rejects_malformed_inputs(tmp_path, capsys):
         serial.serialize("token-instance", {"tokens": {"1": [1, 2]}}))
     assert run_cli("--quiet", "tokens", "test", str(tmp_path / "bad_tok.json"),
                    "--subset", "1") == 2
+    # moduli are integers >= 2 and each token a list of integers
+    good = {"instance_id": "x", "parties": 1, "m": 39, "m_prime": 195,
+            "tokens": {"1": list(range(39))}}
+    for change in ({"m": 0}, {"m": "x"}, {"m_prime": True},
+                   {"tokens": {"1": 5}}, {"tokens": {"1": "abc"}},
+                   {"tokens": 5}, {"instance_id": []}):
+        (tmp_path / "bad_tok.json").write_bytes(
+            serial.serialize("token-instance", {**good, **change}))
+        assert run_cli("--quiet", "tokens", "test", str(tmp_path / "bad_tok.json"),
+                       "--subset", "1") == 2, change
+        assert capsys.readouterr().err.startswith("invalid:")
+    (tmp_path / "tok.json").write_bytes(serial.serialize("token-instance", good))
+    assert run_cli("--quiet", "tokens", "test", str(tmp_path / "tok.json"),
+                   "--subset", "1") == 0
     capsys.readouterr()
 
 
@@ -356,6 +384,14 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         assert_invalid("reconstruct", "--shares", ",".join(shares), reason="must be")
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
                        reason="must be")
+
+    # a prime p of 2**61-1 would stall trial division for minutes
+    def huge_prime(doc):
+        doc["p"] = doc["q"] = 2**61 - 1
+    shares = [rewritten(f, huge_prime, params) for f in files[:3]]
+    assert_invalid("reconstruct", "--shares", ",".join(shares), reason="2**32")
+    assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
+                   reason="2**32")
 
     # params are exactly five integers: no JSON booleans, floats or extra fields
     for field, value in (("n", True), ("p", 31.0), ("token_m", 39)):

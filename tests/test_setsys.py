@@ -10,6 +10,7 @@ from veilshare.setsys import (
     build_bbr_core_values,
     build_bbr_polynomial,
     build_grolmusz_system,
+    merge_layout,
     merge_systems,
     universe_bound_applies,
     verify_restricted_intersections,
@@ -133,6 +134,23 @@ def test_merge_superset_subset_counts(h15):
     assert (proper_subsets[small] == 0).all()
     assert (proper_supersets[~small] == 0).all()
     assert (proper_subsets[~small] == 2).all()
+    # the layout merge_systems writes names the same designated sets and
+    # supersets that the Gram matrix finds, row for row
+    l, supersets = merge_layout(h15)
+    assert l == 2
+    candidates = np.flatnonzero((proper_supersets == 27) & (proper_subsets == 0))
+    assert list(supersets) == candidates.tolist()
+    for i in candidates:
+        reference = np.flatnonzero((gram[i] == sizes[i]) & (sizes > sizes[i]))
+        assert np.array_equal(supersets[i], reference)
+
+
+def test_merge_layout_refuses_other_systems(g15, h15):
+    with pytest.raises(ValueError):
+        merge_layout(g15)
+    shuffled = SetSystem(M15, h15.universe_size, h15.sets, labels=h15.labels[::-1])
+    with pytest.raises(ValueError):
+        merge_layout(shuffled)
 
 
 def test_merge_rejects_degenerate_core():

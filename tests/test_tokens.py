@@ -4,8 +4,12 @@ from collections import Counter
 import pytest
 
 from veilshare.rng import named_stream
-from veilshare.setsys import verify_restricted_intersections
+from veilshare.setsys import SetSystem, verify_restricted_intersections
 from veilshare.tokens import (
+    DEFAULT_L,
+    DEFAULT_M,
+    DEFAULT_M_PRIME,
+    DEFAULT_N,
     TokenEncodingError,
     combine_tokens,
     default_token_systems,
@@ -13,6 +17,7 @@ from veilshare.tokens import (
     membership_test,
     subset_is_authorized,
 )
+from veilshare.vss import Secret, VssParams, deal
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,19 @@ def test_membership_test_numeric_edges():
     assert membership_test(31, 15, 105) is False
     assert membership_test(105, 15, 105) is True
     assert membership_test(frozenset(range(39)), 39, 195) is True
+    # an empty intersection is 0 mod everything, and still never authorized
+    assert membership_test(0, 39, 195) is False
+    assert membership_test(frozenset(), 39, 195) is False
+
+
+def test_deal_builds_no_gram_matrix():
+    # H and its supersets are read off the merge layout, so dealing never
+    # forms the 783 x 783 Gram matrix (or its 81 MB float operand)
+    default_token_systems.cache_clear()
+    views = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
+    deal(Secret(3, 31), [(1, 2)], 3, VssParams.desk(), seed=1)
+    assert default_token_systems.cache_info().currsize == 1
+    assert not any(hasattr(view, "_gram") for view in views)
 
 
 def test_example_instance_authorized_and_not(systems):
@@ -76,6 +94,14 @@ def test_combined_tokens_values(systems):
         else:
             assert len(combined) % inst.m != 0
             assert len(combined) % inst.m_prime != 0
+
+
+def test_encoding_needs_both_views_to_hold_the_same_rows(systems):
+    base, prime = systems
+    reordered = SetSystem(base.modulus, base.universe_size, base.sets[::-1],
+                          labels=base.labels)
+    with pytest.raises(TokenEncodingError):
+        encode_access_structure(5, (1, 2), reordered, prime, named_stream(1, "layout"))
 
 
 def test_combine_rejects_mixed_instances(systems):

@@ -232,6 +232,20 @@ def test_header_tamper_detected(dealt):
         reconstruct(tampered)
 
 
+def test_disjoint_token_is_unauthorized(dealt):
+    # an empty intersection has size 0, which is 0 mod m yet certifies nothing
+    bundles = coalition(dealt, [1, 2, 3])
+    inst = bundles[2].instances[0]
+    token = type(inst.token)(3, frozenset({-1}), inst.instance_id)
+    inst = type(inst)(inst.instance_id, token, inst.a_matrix, inst.d_matrix,
+                      inst.header_ct)
+    tampered = [*bundles[:2], ShareBundle(3, bundles[2].params, [inst])]
+    with pytest.raises(UnauthorizedError):
+        reconstruct(tampered)
+    with pytest.raises(HeaderUnavailableError):
+        verify_shares(tampered, SECRET)
+
+
 def test_max_share_size_shape():
     assert max_share_size(2, 100, 10) % 2 == 0          # binom(2,1) = 2 factor
     values = [max_share_size(l, PARAMS.lwe.q, 12950) for l in range(2, 9)]
