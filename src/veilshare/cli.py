@@ -9,6 +9,7 @@ violated), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 
 
@@ -18,8 +19,9 @@ from .rng import named_stream
 from .setsys import GrolmuszParams, build_grolmusz_system, merge_systems, \
     verify_restricted_intersections
 from .sim import SimulationConfig, run_simulation
-from .tokens import TokenEncodingError, TokenPack, combine_tokens, \
-    default_token_systems, encode_access_structure, membership_test
+from .tokens import DEFAULT_L, DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, \
+    TokenEncodingError, TokenPack, combine_tokens, default_token_systems, \
+    encode_access_structure, membership_test
 from .vss import (
     HeaderUnavailableError,
     Secret,
@@ -110,15 +112,16 @@ def cmd_setsys_verify(args) -> int:
 
 
 def cmd_tokens_gen(args) -> int:
-    base, prime = default_token_systems(args.m, args.m_prime)
+    # positional, as deal passes them, so the lru_cache builds it once
+    system = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
     rng = named_stream(args.seed, "cli", "tokens", args.parties, args.omega)
     instance = encode_access_structure(args.parties, _parse_subset(args.omega),
-                                       base, prime, rng, kappa=args.kappa)
+                                       system, rng, kappa=args.kappa)
     payload = {
         "instance_id": instance.instance_id,
         "parties": instance.party_count,
         "m": instance.m,
-        "m_prime": instance.m_prime,
+        "m_prime": DEFAULT_M_PRIME,
         "tokens": {str(p): sorted(instance.token_for(p).elements)
                    for p in range(1, instance.party_count + 1)},
     }
@@ -139,6 +142,8 @@ def cmd_tokens_test(args) -> int:
             or any(type(v) is not int or v < 2 for v in (m, m_prime)):
         raise serial.SerializationError(
             "token file needs a tokens map, a string instance_id and integers m, m_prime >= 2")
+    if m_prime % m != 0:
+        raise serial.SerializationError("token file m must divide m_prime")
     if not subset or any(str(p) not in tokens for p in subset):
         raise ValueError("subset must name parties present in the token file")
     elements = [tokens[str(p)] for p in subset]
@@ -146,18 +151,35 @@ def cmd_tokens_test(args) -> int:
         raise serial.SerializationError("each token must be a list of integers")
     packs = [TokenPack(p, frozenset(e), instance_id) for p, e in zip(subset, elements)]
     combined = combine_tokens(packs)
-    ok = membership_test(combined, m, m_prime)
+    ok = membership_test(combined, m)
     _emit(args, "empty-report", {"subset": list(subset), "authorized": ok})
     if not ok:
         raise ProtocolFailure({"authorized": False})
     return EXIT_OK
 
 
+def _c_bound_milli(text: str) -> int:
+    """--c-bound in thousandths, read exactly.
+
+    A float would turn 0.0004 into 0 thousandths and 1e308 into inf.
+    """
+    exact = decimal.Context(traps=[decimal.Inexact, decimal.InvalidOperation])
+    try:
+        milli = exact.scaleb(decimal.Decimal(text), 3)
+        whole = milli.is_finite() and milli == milli.to_integral_value()
+    except decimal.DecimalException:
+        whole = False
+    if not whole:
+        raise ValueError(f"c_bound {text!r} is not a finite whole number of thousandths")
+    # LweParams refuses anything above 1000 * q < 2**72; clamping first keeps int() cheap
+    return int(min(max(milli, 0), 2**72))
+
+
 def _vss_params(args) -> VssParams:
     from .lattice import LweParams, find_q
 
     lwe = LweParams(n=args.n, p=args.p, q=find_q(args.p, args.q_bits),
-                    lam=args.lam, c_bound=args.c_bound)
+                    lam=args.lam, c_bound_milli=_c_bound_milli(args.c_bound))
     return VssParams(lwe)
 
 
@@ -265,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = seedable(tk.add_parser("gen"))
     g.add_argument("--parties", type=int, required=True)
     g.add_argument("--omega", required=True)
-    g.add_argument("--m", type=int, default=39)
-    g.add_argument("--m-prime", type=int, default=195)
     g.add_argument("--kappa", type=int, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_tokens_gen)
@@ -281,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=4)
         p.add_argument("--lam", type=int, default=512,
                        help="norm-cap parameter: caps are s*sqrt(lam), sigma*sqrt(lam)")
-        p.add_argument("--c-bound", type=float, default=4.0,
-                       help="inversion residual bound is q/(c_bound*p*d)")
+        p.add_argument("--c-bound", default="4",
+                       help="inversion residual bound is q/(c_bound*p*d); "
+                            "a whole number of thousandths")
 
     d = seedable(sub.add_parser("deal"))
     d.add_argument("--secret", type=int, required=True)

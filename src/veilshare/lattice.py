@@ -96,6 +96,8 @@ def find_q(p: int, bits: int) -> int:
     """Largest q <= 2^bits with q = p*c and p not dividing c."""
     if not is_prime(p):
         raise ValueError("p must be prime")
+    if bits < 0 or (1 << bits) < p:
+        raise ValueError(f"q_bits {bits} is too small: 2**q_bits must be at least p = {p}")
     q = (1 << bits) // p * p
     while q // p % p == 0:
         q -= p
@@ -110,19 +112,24 @@ class LweParams:
     p: int
     q: int
     lam: int = 512
-    c_bound: float = 4.0             # inversion residual bound is q / (c_bound * p * d)
+    c_bound_milli: int = 4000        # inversion residual bound is q / (c_bound * p * d)
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError("p must be prime")
+        if self.q < self.p:
+            raise ValueError("q must be at least p")
         if self.q % self.p != 0 or (self.q // self.p) % self.p == 0:
             raise ValueError("need q = p*c with p not dividing c")
         if self.q >= 1 << 62:
             raise ValueError("q must be below 2**62 to keep chain products in int64")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not self.c_bound > 0:
+        if self.c_bound_milli <= 0:
             raise ValueError("c_bound must be positive")
+        if self.c_bound_milli > 1000 * self.q:
+            # the residual bound sits at its floor of 1 long before this
+            raise ValueError("c_bound must be at most q")
 
     @property
     def d(self) -> int:
@@ -154,7 +161,7 @@ class LweParams:
 
     @property
     def inversion_bound(self) -> int:
-        return max(1, int(self.q / (self.c_bound * self.p * self.d)))
+        return max(1, self.q * 1000 // (self.c_bound_milli * self.p * self.d))
 
 
 # ---------------------------------------------------------------------------

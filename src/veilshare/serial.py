@@ -82,9 +82,6 @@ def deserialize(data: bytes, expect_kind: str | None = None):
     return doc["payload"]
 
 
-_LIMIT = 1 << 63         # matrix entries are int64 on the wire
-
-
 def to_b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
@@ -112,15 +109,14 @@ def matrix_doc(mat) -> dict:
     arr = np.asarray(mat)
     if arr.ndim != 2:
         raise SerializationError("a matrix document holds a 2-d array")
-    if arr.dtype != np.int64:                   # e.g. object arrays of Python ints
-        entries = [int(v) for v in arr.flat]
-        if any(not -_LIMIT <= v < _LIMIT for v in entries):
-            raise SerializationError("matrix entry does not fit 64 bits")
-        arr = np.array(entries, dtype=np.int64).reshape(arr.shape)
-    flat = np.ascontiguousarray(arr, dtype="<i8").reshape(-1)
+    try:                                        # e.g. object arrays of Python ints
+        flat = np.ascontiguousarray(arr, dtype="<i8").reshape(-1)
+    except OverflowError as exc:
+        raise SerializationError("matrix entry does not fit 64 bits") from exc
     bits = _signed_width(flat)
-    planes = np.unpackbits(flat.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    packed = np.packbits(planes[:, :bits], bitorder="little")
+    planes = np.unpackbits(flat.view(np.uint8).reshape(-1, 8), axis=1, count=bits,
+                           bitorder="little")
+    packed = np.packbits(planes, bitorder="little")
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "bits": bits,
             "b64": to_b64(packed.tobytes())}
 

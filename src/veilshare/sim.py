@@ -19,14 +19,13 @@ Corruption modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .rng import named_stream
 from .vss import (
     HeaderUnavailableError,
-    InstanceShare,
     Secret,
     ShareBundle,
     ShareCorruptionError,
@@ -83,23 +82,19 @@ def _corrupt_bundle(bundle: ShareBundle, mode: str, rng: np.random.Generator) ->
         if mode == "encoding":
             fake = np.rint(rng.normal(0, bundle.params.lwe.sigma,
                                       size=inst.d_matrix.shape)).astype(np.int64)
-            instances.append(InstanceShare(inst.instance_id, inst.token,
-                                           inst.a_matrix, fake, inst.header_ct))
+            instances.append(replace(inst, d_matrix=fake))
         elif mode == "bitflip":
             d = inst.d_matrix.copy()
             idx = rng.integers(0, d.size, size=8)
             d.reshape(-1)[idx] += rng.choice(np.array([-1, 1]), size=8)
-            instances.append(InstanceShare(inst.instance_id, inst.token,
-                                           inst.a_matrix, d, inst.header_ct))
+            instances.append(replace(inst, d_matrix=d))
         else:   # token
             elements = sorted(inst.token.elements)
             dropped = int(rng.integers(0, len(elements)))
             foreign = max(elements) + 1 + int(rng.integers(0, 1000))
             tampered = frozenset(e for i, e in enumerate(elements) if i != dropped) | {foreign}
-            token = type(inst.token)(inst.token.party, tampered, inst.token.instance_id)
-            instances.append(InstanceShare(inst.instance_id, token,
-                                           inst.a_matrix, inst.d_matrix, inst.header_ct))
-    return ShareBundle(bundle.party, bundle.params, instances)
+            instances.append(replace(inst, token=replace(inst.token, elements=tampered)))
+    return replace(bundle, instances=instances)
 
 
 def _rate(num: int, den: int) -> list[int]:

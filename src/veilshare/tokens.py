@@ -11,20 +11,22 @@ intersect down to exactly H precisely when the coalition contains Omega.
 Every party only ever sees its token: the image of H_0 n S_i under a
 secret random permutation gamma of the universe, where H_0 is one more
 superset of H joined with all tags.  Coalitions intersect their tokens
-and test the cardinality: 0 mod m or 0 mod m' means authorized.  The
+and test the cardinality: nonzero and 0 mod m means authorized.  The
 tokens never identify Omega, and re-running with a fresh gamma rewrites
 every token while preserving all verdicts.
 
-The two moduli come from reading one merged set system under both m and
-m' = m * p for an extra prime p.  Soundness needs the largest prime
-divisor of m to exceed l + |Omega| + kappa, so the default token systems
-use m = 39 = 3*13 and m' = 195 = 3*5*13, hosting |Omega| up to 8.
+The member sets are built over m' = m * p for an extra prime p and read
+under m.  Since m | m', a size that is 0 mod m' is 0 mod m as well, so a
+second test mod m' could never change a verdict.  Soundness needs the
+largest prime divisor of m to exceed l + |Omega| + kappa, so the default
+token system uses m = 39 = 3*13 (built over m' = 195 = 3*5*13), hosting
+|Omega| up to 8.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +41,7 @@ DEFAULT_L = 2
 
 
 class TokenEncodingError(ValueError):
-    """Raised when an access structure cannot be encoded over the given systems."""
+    """Raised when an access structure cannot be encoded over the given system."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class AccessStructureInstance:
     omega: tuple[int, ...]
     kappa: int
     m: int
-    m_prime: int
     h_set: frozenset[int]              # the designated set H
     h_zero: frozenset[int]             # H_0 = H_partial joined with all tags
     assigned_sets: dict[int, frozenset[int]]   # party id -> S_i
@@ -82,42 +83,36 @@ class AccessStructureInstance:
 
 @functools.lru_cache(maxsize=4)
 def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M_PRIME,
-                          n: int = DEFAULT_N, l: int = DEFAULT_L):
-    """Build the shared member collection and read it under both moduli.
+                          n: int = DEFAULT_N, l: int = DEFAULT_L) -> SetSystem:
+    """Build the merged member collection over m' and read it under m.
 
-    One merged system is constructed over m'; since m | m' all member
-    sizes are 0 mod m as well, and the per-copy intersection values stay
-    in {0,1} modulo every prime divisor of m, so the same collection has
-    restricted intersections under both moduli.  Every member therefore
-    lies in both systems, which is what the encoding needs.
+    Since m | m', all member sizes are 0 mod m as well, and the per-copy
+    intersection values stay in {0,1} modulo every prime divisor of m, so
+    the collection has restricted intersections under m.
     """
     if m_prime % m != 0 or m_prime == m:
         raise ValueError("m' must be a proper multiple of m")
-    mod_prime = Modulus.of(m_prime)
-    g = build_grolmusz_system(GrolmuszParams(mod_prime, n, l=l))
-    merged = merge_systems(g, l)
-    base_view = SetSystem(Modulus.of(m), merged.universe_size, merged.sets,
-                          labels=merged.labels)
-    return base_view, merged
+    g = build_grolmusz_system(GrolmuszParams(Modulus.of(m_prime), n, l=l))
+    return replace(merge_systems(g, l), modulus=Modulus.of(m))
 
 
-def _encoding_structure(h_prime_system: SetSystem):
+def _encoding_structure(system: SetSystem):
     """(l, candidate H rows, supersets per candidate, element ids), cached on the system.
 
     The rows come from the layout merge_systems wrote.  Every member set is
     built from the shared int objects in ids, so encoding allocates no ints.
     """
-    cached = getattr(h_prime_system, "_encoding_structure", None)
+    cached = getattr(system, "_encoding_structure", None)
     if cached is None:
-        merge_l, supersets = merge_layout(h_prime_system)
-        ids = np.arange(h_prime_system.universe_size).astype(object)
+        merge_l, supersets = merge_layout(system)
+        ids = np.arange(system.universe_size).astype(object)
         cached = (merge_l, np.array(list(supersets)), supersets, ids)
-        h_prime_system._encoding_structure = cached
+        system._encoding_structure = cached
     return cached
 
 
-def encode_access_structure(party_count: int, omega, h_system: SetSystem,
-                            h_prime_system: SetSystem, rng: np.random.Generator,
+def encode_access_structure(party_count: int, omega, system: SetSystem,
+                            rng: np.random.Generator,
                             kappa: int | None = None,
                             instance_id: str | None = None) -> AccessStructureInstance:
     """Assign member sets to parties so coalitions intersect to H iff authorized.
@@ -125,28 +120,19 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
     The designated H is drawn among the copy rows of the merged system,
     which are proper subsets of exactly s^(l-1) members (the unions that
     pick them) and proper supersets of none; those unions supply the
-    other parties.  Both systems must hold the same member sets.  Tag
-    elements beyond the universe give each Omega-party a punched tail.
-    kappa defaults to the smallest pad >= 2 keeping l + |Omega| + kappa
+    other parties.  Tag elements beyond the universe give each Omega-party
+    a punched tail.  kappa defaults to 2 and must keep l + |Omega| + kappa
     below the largest prime divisor of m, which is what pins unauthorized
-    intersection sizes away from 0 mod m and mod m'.
+    intersection sizes away from 0 mod m.
     """
     omega = tuple(sorted(set(int(i) for i in omega)))
     if not omega:
         raise TokenEncodingError("Omega must be nonempty")
     if party_count < 1 or omega[0] < 1 or omega[-1] > party_count:
         raise TokenEncodingError("Omega must be a subset of 1..party_count")
-    m = h_system.modulus.m
-    m_prime = h_prime_system.modulus.m
-    if m_prime % m != 0:
-        raise TokenEncodingError("m must divide m'")
+    merge_l, candidates, supersets, ids = _encoding_structure(system)
 
-    if h_system.sets is not h_prime_system.sets \
-            and not np.array_equal(h_system.sets, h_prime_system.sets):
-        raise TokenEncodingError("the two systems must hold the same member sets")
-    merge_l, candidates, supersets, ids = _encoding_structure(h_prime_system)
-
-    max_prime = max(h_system.modulus.primes)
+    max_prime = max(system.modulus.primes)
     k = len(omega)
     if kappa is None:
         kappa = 2
@@ -161,12 +147,12 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
         raise TokenEncodingError(
             f"need at least {party_count + 1} supersets, have {len(superset_idx)}")
 
-    base_h = h_prime_system.universe_size
+    base_h = system.universe_size
     universe = base_h + k + kappa
     tags = list(range(base_h, universe))     # tag j is tags[j-1]
 
     def member(row_idx) -> frozenset[int]:
-        return frozenset(ids[h_prime_system.sets[row_idx]])
+        return frozenset(ids[system.sets[row_idx]])
 
     h_set = member(h_idx)
     draw = rng.choice(superset_idx, size=party_count, replace=False)
@@ -195,7 +181,7 @@ def encode_access_structure(party_count: int, omega, h_system: SetSystem,
 
     return AccessStructureInstance(
         instance_id=instance_id, party_count=party_count, omega=omega,
-        kappa=kappa, m=m, m_prime=m_prime, h_set=h_set, h_zero=h_zero,
+        kappa=kappa, m=system.modulus.m, h_set=h_set, h_zero=h_zero,
         assigned_sets=assigned, gamma=gamma,
     )
 
@@ -213,10 +199,10 @@ def combine_tokens(packs: list[TokenPack]) -> frozenset[int]:
     return out
 
 
-def membership_test(combined, m: int, m_prime: int) -> bool:
-    """Authorized iff the combined cardinality is nonzero and 0 mod m or 0 mod m'."""
+def membership_test(combined, m: int) -> bool:
+    """Authorized iff the combined cardinality is nonzero and 0 mod m."""
     size = combined if isinstance(combined, int) else len(combined)
-    return size > 0 and (size % m == 0 or size % m_prime == 0)
+    return size > 0 and size % m == 0
 
 
 def subset_is_authorized(instance: AccessStructureInstance, subset) -> bool:
@@ -225,4 +211,4 @@ def subset_is_authorized(instance: AccessStructureInstance, subset) -> bool:
     if not subset:
         return False
     combined = combine_tokens([instance.token_for(p) for p in subset])
-    return membership_test(combined, instance.m, instance.m_prime)
+    return membership_test(combined, instance.m)

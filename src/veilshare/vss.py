@@ -113,7 +113,7 @@ class VssParams:
 
     def to_doc(self) -> dict:
         return {"n": self.lwe.n, "p": self.lwe.p, "q": self.lwe.q, "lam": self.lwe.lam,
-                "c_bound_milli": int(self.lwe.c_bound * 1000)}
+                "c_bound_milli": self.lwe.c_bound_milli}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "VssParams":
@@ -124,7 +124,7 @@ class VssParams:
             raise serial.SerializationError(
                 f"params must be exactly the integers {', '.join(fields)}")
         return cls(LweParams(n=doc["n"], p=doc["p"], q=doc["q"], lam=doc["lam"],
-                             c_bound=doc["c_bound_milli"] / 1000))
+                             c_bound_milli=doc["c_bound_milli"]))
 
 
 @dataclass
@@ -284,9 +284,8 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
     gamma0 = _validate_gamma0(gamma0, parties)
     lwe = params.lwe
     p, q, n = lwe.p, lwe.q, lwe.n
-    # positional, as every caller passes them, so the lru_cache builds them once
-    h_sys, h_prime_sys = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME,
-                                               DEFAULT_N, DEFAULT_L)
+    # positional, as every caller passes them, so the lru_cache builds it once
+    system = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
 
     per_party: dict[int, list[InstanceShare]] = {i: [] for i in range(1, parties + 1)}
     for idx, omega in enumerate(gamma0):
@@ -294,7 +293,7 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
         tag = bytes(tag_rng.integers(0, 256, size=6, dtype=np.uint8)).hex()
         inst_id = f"chain-{idx:03d}-{tag}"
         rng = named_stream(seed, "vss", inst_id)
-        instance = encode_access_structure(parties, omega, h_sys, h_prime_sys, rng,
+        instance = encode_access_structure(parties, omega, system, rng,
                                            instance_id=inst_id)
 
         order = [int(v) for v in rng.permutation(np.array(omega))]
@@ -379,7 +378,7 @@ def _opened_chains(bundles: list[ShareBundle]):
     for instance_id in per_bundle[0]:
         shares = {b.party: b.instance(instance_id) for b in bundles}
         combined = combine_tokens([s.token for s in shares.values()])
-        if not membership_test(combined, DEFAULT_M, DEFAULT_M_PRIME):
+        if not membership_test(combined, DEFAULT_M):
             continue
         try:
             header_bytes = open_header(tuple(sorted(combined)), instance_id,

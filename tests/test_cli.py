@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,20 @@ def test_matrix_doc_write_range():
     for value in (2**63, -(2**63) - 1):
         with pytest.raises(serial.SerializationError):
             serial.matrix_doc(np.array([[value]], dtype=object))
+
+
+def test_matrix_doc_unpacks_only_the_planes_it_writes():
+    # a 124 x 124 encoding of 9-bit entries, as dealt at l = 6; unpacking all
+    # 64 bit planes of each entry would take 64 bytes per entry
+    d = np.random.default_rng(0).integers(-256, 256, size=(124, 124))
+    tracemalloc.start()
+    try:
+        doc = serial.matrix_doc(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc["bits"] == 9
+    assert peak < 32 * d.size, f"{peak / d.size:.1f} B per entry"
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +330,7 @@ def test_cli_rejects_malformed_inputs(tmp_path, capsys):
     # moduli are integers >= 2 and each token a list of integers
     good = {"instance_id": "x", "parties": 1, "m": 39, "m_prime": 195,
             "tokens": {"1": list(range(39))}}
-    for change in ({"m": 0}, {"m": "x"}, {"m_prime": True},
+    for change in ({"m": 0}, {"m": "x"}, {"m_prime": True}, {"m_prime": 200},
                    {"tokens": {"1": 5}}, {"tokens": {"1": "abc"}},
                    {"tokens": 5}, {"instance_id": []}):
         (tmp_path / "bad_tok.json").write_bytes(
@@ -385,6 +400,16 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
                        reason="must be")
 
+    # q below p (q = -31 is p*c with p not dividing c) and a bound past its floor
+    for field, value, reason in (("q", -31, "q must be at least p"),
+                                 ("c_bound_milli", 2**70, "c_bound must be at most q")):
+        def change(doc):
+            doc[field] = value
+        shares = [rewritten(f, change, params) for f in files[:3]]
+        assert_invalid("reconstruct", "--shares", ",".join(shares), reason=reason)
+        assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
+                       reason=reason)
+
     # a prime p of 2**61-1 would stall trial division for minutes
     def huge_prime(doc):
         doc["p"] = doc["q"] = 2**61 - 1
@@ -449,6 +474,30 @@ def test_cli_instance_id_must_be_a_string(tmp_path, capsys):
 def test_cli_simulate_rejects_nonpositive_c_bound(capsys):
     assert run_cli("--quiet", "simulate", "--trials", "1", "--c-bound", "0") == 2
     assert "c_bound must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["deal", "--secret", "3", "--gamma0", "1,2", "--parties", "2"],
+    ["simulate", "--trials", "1"],
+])
+@pytest.mark.parametrize("value,reason", [
+    ("0.0004", "whole number of thousandths"),    # a float would store 0
+    ("inf", "whole number of thousandths"),
+    ("1e308", "c_bound must be at most q"),        # a float would overflow on write
+])
+def test_cli_c_bound_is_whole_thousandths(tmp_path, capsys, command, value, reason):
+    outdir = ["--outdir", str(tmp_path / "out")] if command[0] == "deal" else []
+    assert run_cli("--quiet", *command, *outdir, "--c-bound", value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_q_bits_below_p(tmp_path, capsys):
+    # 2**4 < 31 leaves no q = 31*c with c >= 1
+    assert run_cli("--quiet", "deal", "--secret", "3", "--gamma0", "1,2", "--parties", "2",
+                   "--q-bits", "4", "--outdir", str(tmp_path / "out")) == 2
+    assert "q_bits 4 is too small" in capsys.readouterr().err
 
 
 def test_pad_marker_collision_guard():

@@ -43,6 +43,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         LweParams(n=4, p=31, q=2**23)             # p does not divide q
     assert modswitch_window_ok(31, 31 * 1000, 31 * 5000) is False   # window violated
+    with pytest.raises(ValueError, match="q must be at least p"):
+        LweParams(n=4, p=31, q=-31)                # p*c with c = -1
+    for bits in (0, 4):
+        with pytest.raises(ValueError, match="too small"):
+            find_q(31, bits)
+    assert find_q(31, 5) == 31
 
 
 def test_det_int_matches_numpy():

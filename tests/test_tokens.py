@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from veilshare.numt import Modulus
 from veilshare.rng import named_stream
 from veilshare.setsys import SetSystem, verify_restricted_intersections
 from veilshare.tokens import (
@@ -21,7 +22,7 @@ from veilshare.vss import Secret, VssParams, deal
 
 
 @pytest.fixture(scope="module")
-def systems():
+def system():
     return default_token_systems()
 
 
@@ -34,79 +35,71 @@ def all_subsets(parties):
         yield from itertools.combinations(range(1, parties + 1), r)
 
 
-def encode(systems, parties, omega, seed, **kw):
+def encode(system, parties, omega, seed, **kw):
     rng = named_stream(seed, "tokens-test", parties, omega)
-    return encode_access_structure(parties, omega, systems[0], systems[1], rng, **kw)
+    return encode_access_structure(parties, omega, system, rng, **kw)
 
 
-def test_default_systems_have_restricted_intersections_under_both_moduli(systems):
-    base, prime = systems
-    assert base.modulus.m == 39 and prime.modulus.m == 195
-    for view in systems:
+def test_default_systems_have_restricted_intersections_under_both_moduli(system):
+    # the members are built over m' = 195 and read under m = 39
+    assert system.modulus.m == 39
+    prime = SetSystem(Modulus.of(195), system.universe_size, system.sets)
+    for view in (system, prime):
         report = verify_restricted_intersections(view, t=3, l=2, samples=2 * 10**4, seed=3)
         assert report.ok, report.violations
 
 
 def test_membership_test_numeric_edges():
-    assert membership_test(30, 15, 105) is True
-    assert membership_test(31, 15, 105) is False
-    assert membership_test(105, 15, 105) is True
-    assert membership_test(frozenset(range(39)), 39, 195) is True
+    assert membership_test(30, 15) is True
+    assert membership_test(31, 15) is False
+    assert membership_test(105, 15) is True
+    assert membership_test(frozenset(range(39)), 39) is True
     # an empty intersection is 0 mod everything, and still never authorized
-    assert membership_test(0, 39, 195) is False
-    assert membership_test(frozenset(), 39, 195) is False
+    assert membership_test(0, 39) is False
+    assert membership_test(frozenset(), 39) is False
 
 
 def test_deal_builds_no_gram_matrix():
     # H and its supersets are read off the merge layout, so dealing never
     # forms the 783 x 783 Gram matrix (or its 81 MB float operand)
     default_token_systems.cache_clear()
-    views = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
+    system = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
     deal(Secret(3, 31), [(1, 2)], 3, VssParams.desk(), seed=1)
     assert default_token_systems.cache_info().currsize == 1
-    assert not any(hasattr(view, "_gram") for view in views)
+    assert not hasattr(system, "_gram")
 
 
-def test_example_instance_authorized_and_not(systems):
-    inst = encode(systems, 5, (1, 2, 3), seed=101)
+def test_example_instance_authorized_and_not(system):
+    inst = encode(system, 5, (1, 2, 3), seed=101)
     assert subset_is_authorized(inst, [1, 2, 3]) is True
     assert subset_is_authorized(inst, [1, 2, 4, 5]) is False
 
 
-def test_all_coalitions_at_five_parties(systems):
-    inst = encode(systems, 5, (1, 2, 3), seed=102)
+def test_all_coalitions_at_five_parties(system):
+    inst = encode(system, 5, (1, 2, 3), seed=102)
     for subset in all_subsets(5):
         assert subset_is_authorized(inst, subset) == closure_member(subset, (1, 2, 3))
 
 
-def test_combined_tokens_values(systems):
-    inst = encode(systems, 5, (2, 4), seed=103)
+def test_combined_tokens_values(system):
+    inst = encode(system, 5, (2, 4), seed=103)
     packs = {p: inst.token_for(p) for p in range(1, 6)}
     # a single pack combines to itself
     assert combine_tokens([packs[1]]) == packs[1].elements
     # authorized coalitions all reach gamma(H)
     gamma_h = frozenset(inst.authorized_element_ids())
-    assert len(gamma_h) % inst.m == 0 and len(gamma_h) % inst.m_prime == 0
+    assert len(gamma_h) % inst.m == 0
     for subset in all_subsets(5):
         combined = combine_tokens([packs[p] for p in subset])
         if closure_member(subset, (2, 4)):
             assert combined == gamma_h
         else:
             assert len(combined) % inst.m != 0
-            assert len(combined) % inst.m_prime != 0
 
 
-def test_encoding_needs_both_views_to_hold_the_same_rows(systems):
-    base, prime = systems
-    reordered = SetSystem(base.modulus, base.universe_size, base.sets[::-1],
-                          labels=base.labels)
-    with pytest.raises(TokenEncodingError):
-        encode_access_structure(5, (1, 2), reordered, prime, named_stream(1, "layout"))
-
-
-def test_combine_rejects_mixed_instances(systems):
-    a = encode(systems, 3, (1, 2), seed=104)
-    b = encode(systems, 3, (1, 2), seed=105)
+def test_combine_rejects_mixed_instances(system):
+    a = encode(system, 3, (1, 2), seed=104)
+    b = encode(system, 3, (1, 2), seed=105)
     with pytest.raises(ValueError):
         combine_tokens([a.token_for(1), b.token_for(2)])
 
@@ -118,62 +111,62 @@ def test_combine_rejects_mixed_instances(systems):
     (6, (1, 2, 3, 4, 5, 6)),
     (8, (1, 4, 7, 8)),
 ])
-def test_exhaustive_soundness_and_completeness(systems, parties, omega):
-    inst = encode(systems, parties, omega, seed=hash(omega) % 2**32)
+def test_exhaustive_soundness_and_completeness(system, parties, omega):
+    inst = encode(system, parties, omega, seed=hash(omega) % 2**32)
     for subset in all_subsets(parties):
         assert subset_is_authorized(inst, subset) == closure_member(subset, omega)
 
 
-def test_eight_party_instance_exhaustive(systems):
-    inst = encode(systems, 8, (2, 3, 5, 6, 7, 8), seed=42)
+def test_eight_party_instance_exhaustive(system):
+    inst = encode(system, 8, (2, 3, 5, 6, 7, 8), seed=42)
     for subset in all_subsets(8):
         assert subset_is_authorized(inst, subset) == closure_member(subset, (2, 3, 5, 6, 7, 8))
 
 
-def test_permutation_invariance(systems):
+def test_permutation_invariance(system):
     verdicts = []
     for seed in (7, 8):
         rng = named_stream(seed, "perm")
-        inst = encode_access_structure(5, (1, 3), systems[0], systems[1], rng)
+        inst = encode_access_structure(5, (1, 3), system, rng)
         verdicts.append([subset_is_authorized(inst, s) for s in all_subsets(5)])
     assert verdicts[0] == verdicts[1]
     # but the token bytes themselves differ
-    a = encode(systems, 5, (1, 3), seed=7).token_for(1).elements
-    b = encode(systems, 5, (1, 3), seed=8).token_for(1).elements
+    a = encode(system, 5, (1, 3), seed=7).token_for(1).elements
+    b = encode(system, 5, (1, 3), seed=8).token_for(1).elements
     assert a != b
 
 
-def test_kappa_constraint(systems):
+def test_kappa_constraint(system):
     # default kappa = 2 needs l + |Omega| + 2 < 13, so |Omega| <= 8
-    inst = encode(systems, 8, tuple(range(1, 9)), seed=9)
+    inst = encode(system, 8, tuple(range(1, 9)), seed=9)
     assert inst.kappa == 2
     with pytest.raises(TokenEncodingError):
-        encode(systems, 12, tuple(range(1, 12)), seed=9)
+        encode(system, 12, tuple(range(1, 12)), seed=9)
     with pytest.raises(TokenEncodingError):
-        encode(systems, 5, (1, 2, 3), seed=9, kappa=9)
+        encode(system, 5, (1, 2, 3), seed=9, kappa=9)
 
 
-def test_explicit_small_kappa_extends_reach(systems):
+def test_explicit_small_kappa_extends_reach(system):
     # default kappa=2 refuses a 9-member structure; kappa=1 still fits the bound
     with pytest.raises(TokenEncodingError):
-        encode(systems, 9, tuple(range(1, 10)), seed=77)
-    inst = encode(systems, 9, tuple(range(1, 10)), seed=77, kappa=1)
+        encode(system, 9, tuple(range(1, 10)), seed=77)
+    inst = encode(system, 9, tuple(range(1, 10)), seed=77, kappa=1)
     assert inst.kappa == 1
     assert subset_is_authorized(inst, range(1, 10)) is True
     assert subset_is_authorized(inst, range(1, 9)) is False
 
 
-def test_omega_validation(systems):
+def test_omega_validation(system):
     with pytest.raises(TokenEncodingError):
-        encode(systems, 5, (), seed=1)
+        encode(system, 5, (), seed=1)
     with pytest.raises(TokenEncodingError):
-        encode(systems, 5, (0, 2), seed=1)
+        encode(system, 5, (0, 2), seed=1)
     with pytest.raises(TokenEncodingError):
-        encode(systems, 5, (6,), seed=1)
+        encode(system, 5, (6,), seed=1)
 
 
-def test_tokens_are_subsets_of_gamma_h_zero(systems):
-    inst = encode(systems, 5, (1, 2, 3), seed=110)
+def test_tokens_are_subsets_of_gamma_h_zero(system):
+    inst = encode(system, 5, (1, 2, 3), seed=110)
     gamma_h0 = {int(inst.gamma[e]) for e in inst.h_zero}
     for p in range(1, 6):
         pack = inst.token_for(p)
@@ -181,7 +174,7 @@ def test_tokens_are_subsets_of_gamma_h_zero(systems):
         assert pack.elements <= gamma_h0
 
 
-def test_hiding_surrogate_token_size_multisets(systems):
+def test_hiding_surrogate_token_size_multisets(system):
     """Across two hidden Omega of equal size, the unordered per-instance
     multiset of token sizes is identically distributed."""
     trials = 500     # two-sample comparison over 10^3 trials total
@@ -191,7 +184,7 @@ def test_hiding_surrogate_token_size_multisets(systems):
         counter = Counter()
         for t in range(trials):
             rng = named_stream(2024, "hiding", tag, t)
-            inst = encode_access_structure(parties, omega, systems[0], systems[1], rng)
+            inst = encode_access_structure(parties, omega, system, rng)
             sizes = tuple(sorted(len(inst.token_for(p).elements)
                                  for p in range(1, parties + 1)))
             counter[sizes] += 1

@@ -192,7 +192,7 @@ def test_exponent_telescoping_and_error_growth():
     norms = {}
     for omega, bits in [((1, 2), 30), ((1, 2, 3), 30), ((1, 2, 3, 4), 40)]:
         params = VssParams(LweParams(n=4, p=31, q=find_q(31, bits),
-                                     c_bound=0.5 if len(omega) == 4 else 4.0))
+                                     c_bound_milli=500 if len(omega) == 4 else 4000))
         bundles = deal(SECRET, [omega], len(omega), params, seed=4000 + len(omega))
         assert reconstruct(bundles) == SECRET
         [(shares, header, trap)] = _opened_chains(bundles)
@@ -205,6 +205,13 @@ def test_exponent_telescoping_and_error_growth():
         norms[len(omega)] = int(np.abs(err).max())
     assert all(v > 0 for v in norms.values())
     assert norms[2] < norms[3] < norms[4]
+
+
+def test_params_doc_roundtrip():
+    base = VssParams.desk().to_doc()
+    for milli in range(1, 5001):
+        doc = {**base, "c_bound_milli": milli}
+        assert VssParams.from_doc(doc).to_doc() == doc
 
 
 def test_entry_overflow_rejected():
