@@ -16,11 +16,10 @@ import sys
 from . import serial
 from .numt import Modulus
 from .rng import named_stream
-from .setsys import GrolmuszParams, build_grolmusz_system, merge_systems, \
-    verify_restricted_intersections
+from .setsys import build_grolmusz_system, merge_systems, verify_restricted_intersections
 from .sim import SimulationConfig, run_simulation
 from .tokens import DEFAULT_L, DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, \
-    TokenEncodingError, TokenPack, combine_tokens, default_token_systems, \
+    TokenEncodingError, combine_tokens, default_token_systems, \
     encode_access_structure, membership_test
 from .vss import (
     HeaderUnavailableError,
@@ -87,8 +86,9 @@ class IOFailure(Exception):
 
 
 def cmd_setsys_build(args) -> int:
-    params = GrolmuszParams(Modulus.of(args.m), args.n, t=args.t, l=args.l)
-    system = merge_systems(build_grolmusz_system(params), args.l)
+    if args.t < 2:
+        raise ValueError("need t >= 2")
+    system = merge_systems(build_grolmusz_system(Modulus.of(args.m), args.n), args.l)
     payload = serial.set_system_doc(system)
     payload["t"] = args.t
     payload["l"] = args.l
@@ -116,13 +116,13 @@ def cmd_tokens_gen(args) -> int:
     system = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
     rng = named_stream(args.seed, "cli", "tokens", args.parties, args.omega)
     instance = encode_access_structure(args.parties, _parse_subset(args.omega),
-                                       system, rng, kappa=args.kappa)
+                                       system, rng)
     payload = {
         "instance_id": instance.instance_id,
         "parties": instance.party_count,
         "m": instance.m,
         "m_prime": DEFAULT_M_PRIME,
-        "tokens": {str(p): sorted(instance.token_for(p).elements)
+        "tokens": {str(p): sorted(instance.token_for(p))
                    for p in range(1, instance.party_count + 1)},
     }
     _write(args.out, serial.serialize("token-instance", payload))
@@ -147,10 +147,10 @@ def cmd_tokens_test(args) -> int:
     if not subset or any(str(p) not in tokens for p in subset):
         raise ValueError("subset must name parties present in the token file")
     elements = [tokens[str(p)] for p in subset]
-    if any(not isinstance(e, list) or any(type(v) is not int for v in e) for e in elements):
-        raise serial.SerializationError("each token must be a list of integers")
-    packs = [TokenPack(p, frozenset(e), instance_id) for p, e in zip(subset, elements)]
-    combined = combine_tokens(packs)
+    if any(not isinstance(e, list) or not e or any(type(v) is not int for v in e)
+           for e in elements):
+        raise serial.SerializationError("each token must be a nonempty list of integers")
+    combined = combine_tokens([frozenset(e) for e in elements])
     ok = membership_test(combined, m)
     _emit(args, "empty-report", {"subset": list(subset), "authorized": ok})
     if not ok:
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = seedable(tk.add_parser("gen"))
     g.add_argument("--parties", type=int, required=True)
     g.add_argument("--omega", required=True)
-    g.add_argument("--kappa", type=int, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_tokens_gen)
     t = tk.add_parser("test")

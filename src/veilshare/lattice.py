@@ -462,44 +462,28 @@ def batch_det_mod(mats: np.ndarray, p: int) -> np.ndarray:
     return np.array([det_int(m) % p for m in mats], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class PrimSecret:
-    S: np.ndarray
-    p: int
-    k: int
-
-    def __post_init__(self):
-        if int(np.abs(self.S).max()) >= self.p:
-            raise ValueError("secret entries must stay below p")
-        if det_int(self.S) % self.p != self.k:
-            raise ValueError("determinant does not match k")
-        if not is_primitive_root(self.k, self.p):
-            raise ValueError("k must generate Z_p^*")
-
-
 def sample_prim_secret(n: int, p: int, rng: np.random.Generator,
-                       det_value: int | None = None) -> PrimSecret:
-    """Rejection-sample a uniform matrix whose determinant generates Z_p^*.
+                       det_value: int | None = None) -> np.ndarray:
+    """Rejection-sample a uniform n x n matrix S over [0, p) whose determinant
+    generates Z_p^*.
 
     With ``det_value`` the determinant is additionally pinned to that
     residue (used by the dealer, where det(S) must equal the secret).
+    batch_det_mod computes every determinant exactly, so S needs no
+    second check.
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     if det_value is not None and not is_primitive_root(det_value, p):
         raise ValueError("requested determinant is not a generator")
-    roots = {k for k in range(1, p) if is_primitive_root(k, p)}
+    wanted = [det_value] if det_value is not None else \
+        [k for k in range(1, p) if is_primitive_root(k, p)]
     batch = 256
     for _ in range(PRIM_TRIES // batch):
         mats = rng.integers(0, p, size=(batch, n, n), dtype=np.int64)
-        dets = batch_det_mod(mats, p)
-        for i in range(batch):
-            k = int(dets[i])
-            if det_value is not None:
-                if k == det_value:
-                    return PrimSecret(mats[i], p, k)
-            elif k in roots:
-                return PrimSecret(mats[i], p, k)
+        hits = np.flatnonzero(np.isin(batch_det_mod(mats, p), wanted))
+        if hits.size:
+            return mats[hits[0]]
     raise RuntimeError("rejection sampling exhausted its retry budget")
 
 

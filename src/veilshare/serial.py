@@ -122,10 +122,9 @@ def matrix_doc(mat) -> dict:
 
 
 def doc_matrix(doc: dict) -> np.ndarray:
-    try:
-        rows, cols, bits, text = doc["rows"], doc["cols"], doc["bits"], doc["b64"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError("matrix document is missing fields") from exc
+    if not isinstance(doc, dict) or doc.keys() != {"rows", "cols", "bits", "b64"}:
+        raise SerializationError("a matrix document is exactly rows, cols, bits and b64")
+    rows, cols, bits, text = doc["rows"], doc["cols"], doc["bits"], doc["b64"]
     if any(type(v) is not int for v in (rows, cols, bits)):
         raise SerializationError("matrix rows, cols and bits must be integers")
     if rows < 0 or cols < 0:
@@ -174,10 +173,17 @@ def doc_set_system(payload: dict):
     labels = payload.get("labels", [])
     if not isinstance(rows, list) or not isinstance(labels, list):
         raise SerializationError("set-system sets and labels must be lists")
+    if any(not isinstance(row, list) or any(type(v) is not int for v in row)
+           for row in rows):
+        raise SerializationError("set elements must be integers")
+    # an element in no member set changes no size and no intersection, so a
+    # larger universe would only allocate what the file never spells out
+    entries = sum(len(row) for row in rows)
+    if h > entries:
+        raise SerializationError(
+            f"universe_size {h} exceeds the {entries} element entries the sets list")
     sets = np.zeros((len(rows), h), dtype=bool)
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or any(type(v) is not int for v in row):
-            raise SerializationError("set elements must be integers")
         if row and (min(row) < 0 or max(row) >= h):
             raise SerializationError("set element outside the declared universe")
         sets[i, row] = True

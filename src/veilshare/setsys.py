@@ -22,6 +22,9 @@ prime divisors:
    non-degenerate (no member contained in all others) has intersection
    size nonzero mod m.
 
+t appears only in that claim: the construction reads m, n and l, and
+the verifier takes t as the largest family size it checks.
+
 Everything is desk-scale and exhaustively checkable; the verifier at the
 bottom re-derives the claimed properties from the bit vectors alone.
 """
@@ -109,26 +112,6 @@ def build_bbr_polynomial(m: Modulus, n: int) -> MultilinearPoly:
     return multilinear_from_symmetric_values(values, n, m)
 
 
-@dataclass(frozen=True)
-class GrolmuszParams:
-    m: Modulus
-    n: int
-    t: int = 3
-    l: int = 2
-
-    def __post_init__(self):
-        self.m.require_odd_squarefree()
-        if self.n < 1:
-            raise ValueError("need n >= 1")
-        if self.t < 2:
-            raise ValueError("need t >= 2")
-        if not 2 <= self.l < min(self.m.primes):
-            raise ValueError("need 2 <= l < min prime divisor of m")
-        exps = bbr_prime_exponents(self.m, self.n)
-        if math.prod(p**e for p, e in exps.items()) <= self.n:
-            raise ValueError("prime-power product does not exceed n")
-
-
 @dataclass
 class SetSystem:
     """Member sets as rows of a boolean matrix over a fixed universe."""
@@ -173,15 +156,17 @@ class SetSystem:
         return cached
 
 
-def build_grolmusz_system(params: GrolmuszParams) -> SetSystem:
-    """Uniform system G with n^n sets whose t'-wise intersections are pinned mod m.
+def build_grolmusz_system(m: Modulus, n: int) -> SetSystem:
+    """Uniform system G with n^n sets whose intersections are pinned mod m.
 
     Universe elements are (monomial, copy, block) triples; the set for
     y in [0,n-1]^n holds, for every monomial copy, the block of vectors
     agreeing with y on the monomial's coordinates.  Monomials with zero
-    reduced coefficient contribute no elements.
+    reduced coefficient contribute no elements.  Only m and n shape G, and
+    build_bbr_core_values checks both: m odd, squarefree and of two or
+    more primes, n >= 1, and a prime-power product above n.  merge_systems
+    checks the merge factor l.
     """
-    n, m = params.n, params.m
     q_poly = build_bbr_polynomial(m, n)
     monomials = q_poly.monomials()
 

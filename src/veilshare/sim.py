@@ -89,11 +89,11 @@ def _corrupt_bundle(bundle: ShareBundle, mode: str, rng: np.random.Generator) ->
             d.reshape(-1)[idx] += rng.choice(np.array([-1, 1]), size=8)
             instances.append(replace(inst, d_matrix=d))
         else:   # token
-            elements = sorted(inst.token.elements)
+            elements = sorted(inst.token)
             dropped = int(rng.integers(0, len(elements)))
             foreign = max(elements) + 1 + int(rng.integers(0, 1000))
             tampered = frozenset(e for i, e in enumerate(elements) if i != dropped) | {foreign}
-            instances.append(replace(inst, token=replace(inst.token, elements=tampered)))
+            instances.append(replace(inst, token=tampered))
     return replace(bundle, instances=instances)
 
 

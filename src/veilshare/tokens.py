@@ -31,8 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numt import Modulus
-from .setsys import GrolmuszParams, SetSystem, build_grolmusz_system, merge_layout, \
-    merge_systems
+from .setsys import SetSystem, build_grolmusz_system, merge_layout, merge_systems
 
 DEFAULT_M = 39
 DEFAULT_M_PRIME = 195
@@ -42,19 +41,6 @@ DEFAULT_L = 2
 
 class TokenEncodingError(ValueError):
     """Raised when an access structure cannot be encoded over the given system."""
-
-
-@dataclass(frozen=True)
-class TokenPack:
-    """One party's access-structure token: permuted element identifiers."""
-
-    party: int
-    elements: frozenset[int]
-    instance_id: str
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("token element set must be nonempty")
 
 
 @dataclass
@@ -71,10 +57,10 @@ class AccessStructureInstance:
     assigned_sets: dict[int, frozenset[int]]   # party id -> S_i
     gamma: np.ndarray                  # permutation over the extended universe
 
-    def token_for(self, party: int) -> TokenPack:
+    def token_for(self, party: int) -> frozenset[int]:
+        """The party's token: gamma of H_0 n S_i, as permuted element ids."""
         raw = self.h_zero & self.assigned_sets[party]
-        return TokenPack(party, frozenset(int(self.gamma[e]) for e in raw),
-                         self.instance_id)
+        return frozenset(int(self.gamma[e]) for e in raw)
 
     def authorized_element_ids(self) -> tuple[int, ...]:
         """gamma(H): the common value every authorized coalition intersects to."""
@@ -92,7 +78,7 @@ def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M_PRIME,
     """
     if m_prime % m != 0 or m_prime == m:
         raise ValueError("m' must be a proper multiple of m")
-    g = build_grolmusz_system(GrolmuszParams(Modulus.of(m_prime), n, l=l))
+    g = build_grolmusz_system(Modulus.of(m_prime), n)
     return replace(merge_systems(g, l), modulus=Modulus.of(m))
 
 
@@ -186,17 +172,11 @@ def encode_access_structure(party_count: int, omega, system: SetSystem,
     )
 
 
-def combine_tokens(packs: list[TokenPack]) -> frozenset[int]:
-    """Intersection of the packs' element sets; packs must share one instance."""
-    if not packs:
-        raise ValueError("need at least one token pack")
-    ids = {p.instance_id for p in packs}
-    if len(ids) != 1:
-        raise ValueError(f"mixed instances: {sorted(ids)}")
-    out = packs[0].elements
-    for p in packs[1:]:
-        out = out & p.elements
-    return out
+def combine_tokens(tokens: list[frozenset[int]]) -> frozenset[int]:
+    """Intersection of one instance's tokens."""
+    if not tokens:
+        raise ValueError("need at least one token")
+    return frozenset(tokens[0]).intersection(*tokens[1:])
 
 
 def membership_test(combined, m: int) -> bool:

@@ -63,7 +63,6 @@ from .tokens import (
     DEFAULT_M,
     DEFAULT_M_PRIME,
     DEFAULT_N,
-    TokenPack,
     combine_tokens,
     default_token_systems,
     encode_access_structure,
@@ -130,7 +129,7 @@ class VssParams:
 @dataclass
 class InstanceShare:
     instance_id: str
-    token: TokenPack
+    token: frozenset[int]      # permuted element ids
     a_matrix: np.ndarray       # (w, n): chain matrix or decoy
     d_matrix: np.ndarray       # (w, w): encoding or decoy
     header_ct: bytes
@@ -138,29 +137,30 @@ class InstanceShare:
     def to_doc(self) -> dict:
         return {
             "instance_id": self.instance_id,
-            "token": sorted(self.token.elements),
+            "token": sorted(self.token),
             "a": serial.matrix_doc(self.a_matrix),
             "d": serial.matrix_doc(self.d_matrix),
             "header_ct": serial.to_b64(self.header_ct),
         }
 
     @classmethod
-    def from_doc(cls, doc: dict, party: int) -> "InstanceShare":
-        try:
-            token, instance_id = doc["token"], doc["instance_id"]
-            if not isinstance(token, list) or any(type(v) is not int for v in token):
-                raise serial.SerializationError("token must be a list of integers")
-            if not isinstance(instance_id, str):
-                raise serial.SerializationError("instance_id must be a string")
-            return cls(
-                instance_id=instance_id,
-                token=TokenPack(party, frozenset(token), instance_id),
-                a_matrix=serial.doc_matrix(doc["a"]),
-                d_matrix=serial.doc_matrix(doc["d"]),
-                header_ct=serial.from_b64(doc["header_ct"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise serial.SerializationError(f"malformed instance share: {exc}") from exc
+    def from_doc(cls, doc: dict) -> "InstanceShare":
+        fields = {"instance_id", "token", "a", "d", "header_ct"}
+        if not isinstance(doc, dict) or doc.keys() != fields:
+            raise serial.SerializationError(
+                f"instance share must be exactly the fields {', '.join(sorted(fields))}")
+        token, instance_id = doc["token"], doc["instance_id"]
+        if not isinstance(token, list) or any(type(v) is not int for v in token):
+            raise serial.SerializationError("token must be a list of integers")
+        # strictly increasing: the one order to_doc writes, with no repeats
+        if not token or any(a >= b for a, b in zip(token, token[1:])):
+            raise serial.SerializationError("token must be nonempty and strictly increasing")
+        if not isinstance(instance_id, str):
+            raise serial.SerializationError("instance_id must be a string")
+        return cls(instance_id=instance_id, token=frozenset(token),
+                   a_matrix=serial.doc_matrix(doc["a"]),
+                   d_matrix=serial.doc_matrix(doc["d"]),
+                   header_ct=serial.from_b64(doc["header_ct"]))
 
 
 @dataclass
@@ -184,17 +184,30 @@ class ShareBundle:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ShareBundle":
+        """Parse a bundle that serializes back to the same bytes.
+
+        The pad that serialize_bundles writes is optional and all spaces.
+        """
+        fields = {"party", "params", "instances"}
+        if not isinstance(doc, dict) or doc.keys() - {"pad"} != fields:
+            raise serial.SerializationError(
+                f"share bundle must be exactly the fields {', '.join(sorted(fields))} "
+                "and an optional pad")
+        pad, party = doc.get("pad", ""), doc["party"]
+        if not isinstance(pad, str) or pad.strip(" "):
+            raise serial.SerializationError("pad must be a string of spaces")
+        if type(party) is not int or party < 1:
+            raise serial.SerializationError("party must be an integer of at least 1")
+        if not isinstance(doc["instances"], list):
+            raise serial.SerializationError("instances must be a list")
         try:
-            party = doc["party"]
-            if type(party) is not int or party < 1:
-                raise serial.SerializationError("party must be an integer of at least 1")
             params = VssParams.from_doc(doc["params"])
-            instances = [InstanceShare.from_doc(d, party) for d in doc["instances"]]
         except serial.SerializationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:               # LweParams refusing a value
             raise serial.SerializationError(f"malformed share bundle: {exc}") from exc
-        return cls(party=party, params=params, instances=instances)
+        return cls(party=party, params=params,
+                   instances=[InstanceShare.from_doc(d) for d in doc["instances"]])
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +311,8 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
 
         order = [int(v) for v in rng.permutation(np.array(omega))]
         exps = _draw_exponents(rng, len(order), p)
-        s_secret = sample_prim_secret(n, p, rng, det_value=secret.k)
-        s_pows = [matrix_power_mod(s_secret.S, e, p) for e in exps]
+        s_mat = sample_prim_secret(n, p, rng, det_value=secret.k)
+        s_pows = [matrix_power_mod(s_mat, e, p) for e in exps]
 
         product = np.eye(n, dtype=object)
         for s_pow in s_pows:

@@ -30,7 +30,6 @@ from veilshare.lattice import (
 from veilshare.numt import Modulus
 from veilshare.rng import named_stream
 from veilshare.setsys import (
-    GrolmuszParams,
     build_grolmusz_system,
     merge_systems,
     verify_restricted_intersections,
@@ -62,7 +61,7 @@ def deterministic(kind, builder):
 
 @pytest.fixture(scope="module")
 def h15():
-    return merge_systems(build_grolmusz_system(GrolmuszParams(Modulus.of(15), 3)), 2)
+    return merge_systems(build_grolmusz_system(Modulus.of(15), 3), 2)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +83,7 @@ def popcount_and(packed, i, j, k=None):
 def test_criterion_01_set_system_construction(h15):
     with criterion("criterion-01", "set-system m=15 n=3 l=2 t=3") as entry:
         def build():
-            g = build_grolmusz_system(GrolmuszParams(Modulus.of(15), 3, t=3, l=2))
+            g = build_grolmusz_system(Modulus.of(15), 3)
             h = merge_systems(g, 2)
             report = verify_restricted_intersections(h, t=3, l=2,
                                                      samples=10**6, seed=SEED)

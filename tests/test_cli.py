@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from veilshare import serial
 from veilshare.cli import main
 from veilshare.numt import Modulus
-from veilshare.setsys import GrolmuszParams, build_grolmusz_system, merge_systems
+from veilshare.setsys import build_grolmusz_system, merge_systems
 from veilshare.sim import SimulationConfig, run_simulation
 from veilshare.vss import VssParams
 
@@ -27,7 +27,7 @@ def test_empty_report_fixed_bytes():
 
 
 def test_set_system_roundtrip_783():
-    system = merge_systems(build_grolmusz_system(GrolmuszParams(Modulus.of(15), 3)), 2)
+    system = merge_systems(build_grolmusz_system(Modulus.of(15), 3), 2)
     blob = serial.serialize("set-system", serial.set_system_doc(system))
     back = serial.doc_set_system(serial.deserialize(blob, "set-system"))
     assert back.universe_size == system.universe_size
@@ -247,8 +247,11 @@ def test_cli_setsys_verify_rejects_malformed_files(tmp_path, capsys):
     good = {"m": 15, "universe_size": 30,
             "sets": [list(range(15)), list(range(15, 30))], "labels": [], "t": 2}
     # a prime modulus of 2**61-1 would stall trial division for minutes
+    # a universe of 10**15 or 2**62 elements would be allocated before any set is read
     for change in ({"m": 2**61 - 1}, {"labels": 5}, {"sets": [[1.5, 2]]},
-                   {"sets": [[1, True]]}, {"sets": 5}):
+                   {"sets": [[1, True]]}, {"sets": 5},
+                   {"universe_size": 10**15, "sets": [[1, 2]]},
+                   {"universe_size": 2**62, "sets": [[1, 2]]}):
         # plain json.dumps, since serialize refuses to write the float
         (tmp_path / "bad.json").write_text(json.dumps(
             {"schema": "set-system", "version": serial.VERSION,
@@ -312,6 +315,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                    "--parties", "3", "--outdir", str(tmp_path / "x")) == 2
     # validation: malformed subcommand
     assert run_cli("nonsense") == 2
+    # validation: t shapes nothing in the build, so the CLI checks it itself
+    assert run_cli("setsys", "build", "--t", "1", "--out", str(tmp_path / "h.json")) == 2
+    assert capsys.readouterr().err.startswith("invalid:")
+    # validation: deal encodes with the default kappa, so tokens gen takes no other
+    assert run_cli("tokens", "gen", "--parties", "5", "--omega", "1,2,3",
+                   "--kappa", "1", "--out", str(tmp_path / "tok.json")) == 2
+    assert "unrecognized arguments: --kappa" in capsys.readouterr().err
     # io: missing file
     assert run_cli("--quiet", "reconstruct", "--shares", str(tmp_path / "nope.json")) == 4
     capsys.readouterr()
@@ -437,6 +447,21 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         assert_invalid("reconstruct", "--shares", ",".join(shares), reason="party")
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
                        reason="party")
+
+    # what loads must write back to the same bytes: no repeated or reordered
+    # token element, no unknown key, a pad of spaces only, instances as objects
+    def first(payload):
+        return payload["instances"][0]
+    for part, change in (
+            (first, lambda inst: inst["token"].insert(0, inst["token"][0])),
+            (first, lambda inst: inst["token"].reverse()),
+            (whole, lambda doc: doc.update(extra=1)),
+            (first, lambda inst: inst.update(extra=1)),
+            (whole, lambda doc: doc.update(pad="x")),
+            (whole, lambda doc: doc["instances"].__setitem__(0, 5))):
+        shares = ",".join([rewritten(files[0], change, part), *files[1:3]])
+        assert_invalid("reconstruct", "--shares", shares)
+        assert_invalid("verify", "--shares", shares, "--secret", "3")
 
     # a label outside the chain leaves the opened header naming a missing party
     def relabel_99(doc):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from veilshare.numt import Modulus
-from veilshare.setsys import GrolmuszParams, SetSystem, build_grolmusz_system, merge_systems
+from veilshare.setsys import SetSystem, build_grolmusz_system, merge_systems
 from veilshare.cover import (
     attach_companion,
     hop,
@@ -19,7 +19,7 @@ M15 = Modulus.of(15)
 
 @pytest.fixture(scope="module")
 def h15():
-    return merge_systems(build_grolmusz_system(GrolmuszParams(M15, 3)), 2)
+    return merge_systems(build_grolmusz_system(M15, 3), 2)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_iterated_union_form_matches_bitset_oracle(v15, h15):
 
 @pytest.fixture(scope="module")
 def paired(v15):
-    h_prime = merge_systems(build_grolmusz_system(GrolmuszParams(Modulus.of(105), 3)), 2)
+    h_prime = merge_systems(build_grolmusz_system(Modulus.of(105), 3), 2)
     return attach_companion(v15, to_covering_family(h_prime))
 
 

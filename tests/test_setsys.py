@@ -5,7 +5,6 @@ import pytest
 
 from veilshare.numt import Modulus, eval_univariate, poly_eval  # noqa: F401
 from veilshare.setsys import (
-    GrolmuszParams,
     SetSystem,
     build_bbr_core_values,
     build_bbr_polynomial,
@@ -71,16 +70,15 @@ def test_bbr_rejects_bad_parameters():
 
 
 def test_grolmusz_params_validation():
-    GrolmuszParams(M15, 3, t=3, l=2)
+    g = build_grolmusz_system(M15, 3)
+    merge_systems(g, 2)
     with pytest.raises(ValueError):
-        GrolmuszParams(M15, 3, t=3, l=3)             # l not below min prime
-    with pytest.raises(ValueError):
-        GrolmuszParams(M15, 3, t=1, l=2)
+        merge_systems(g, 3)                          # l not below min prime
 
 
 @pytest.fixture(scope="module")
 def g15():
-    return build_grolmusz_system(GrolmuszParams(M15, 3, t=3, l=2))
+    return build_grolmusz_system(M15, 3)
 
 
 @pytest.fixture(scope="module")

@@ -243,8 +243,7 @@ def test_disjoint_token_is_unauthorized(dealt):
     # an empty intersection has size 0, which is 0 mod m yet certifies nothing
     bundles = coalition(dealt, [1, 2, 3])
     inst = bundles[2].instances[0]
-    token = type(inst.token)(3, frozenset({-1}), inst.instance_id)
-    inst = type(inst)(inst.instance_id, token, inst.a_matrix, inst.d_matrix,
+    inst = type(inst)(inst.instance_id, frozenset({-1}), inst.a_matrix, inst.d_matrix,
                       inst.header_ct)
     tampered = [*bundles[:2], ShareBundle(3, bundles[2].params, [inst])]
     with pytest.raises(UnauthorizedError):
