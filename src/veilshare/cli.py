@@ -18,7 +18,7 @@ from .numt import Modulus
 from .rng import named_stream
 from .setsys import build_grolmusz_system, merge_systems, verify_restricted_intersections
 from .sim import SimulationConfig, run_simulation
-from .tokens import DEFAULT_L, DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, \
+from .tokens import DEFAULT_L, DEFAULT_M, DEFAULT_N, \
     TokenEncodingError, combine_tokens, default_token_systems, \
     encode_access_structure, membership_test
 from .vss import (
@@ -113,7 +113,7 @@ def cmd_setsys_verify(args) -> int:
 
 def cmd_tokens_gen(args) -> int:
     # positional, as deal passes them, so the lru_cache builds it once
-    system = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
+    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
     rng = named_stream(args.seed, "cli", "tokens", args.parties, args.omega)
     instance = encode_access_structure(args.parties, _parse_subset(args.omega),
                                        system, rng)
@@ -121,7 +121,6 @@ def cmd_tokens_gen(args) -> int:
         "instance_id": instance.instance_id,
         "parties": instance.party_count,
         "m": instance.m,
-        "m_prime": DEFAULT_M_PRIME,
         "tokens": {str(p): sorted(instance.token_for(p))
                    for p in range(1, instance.party_count + 1)},
     }
@@ -133,17 +132,15 @@ def cmd_tokens_gen(args) -> int:
 def cmd_tokens_test(args) -> int:
     payload = serial.deserialize(_read(args.file), "token-instance")
     subset = _parse_subset(args.subset)
-    try:
-        tokens, m, m_prime = payload["tokens"], payload["m"], payload["m_prime"]
-        instance_id = payload["instance_id"]
-    except (KeyError, TypeError) as exc:
-        raise serial.SerializationError(f"malformed token file: {exc}") from exc
-    if not isinstance(tokens, dict) or not isinstance(instance_id, str) \
-            or any(type(v) is not int or v < 2 for v in (m, m_prime)):
+    fields = {"instance_id", "parties", "m", "tokens"}
+    if not isinstance(payload, dict) or payload.keys() != fields:
         raise serial.SerializationError(
-            "token file needs a tokens map, a string instance_id and integers m, m_prime >= 2")
-    if m_prime % m != 0:
-        raise serial.SerializationError("token file m must divide m_prime")
+            f"token file must be exactly the fields {', '.join(sorted(fields))}")
+    tokens, m = payload["tokens"], payload["m"]
+    if not isinstance(tokens, dict) or not isinstance(payload["instance_id"], str) \
+            or type(m) is not int or m < 2:
+        raise serial.SerializationError(
+            "token file needs a tokens map, a string instance_id and an integer m >= 2")
     if not subset or any(str(p) not in tokens for p in subset):
         raise ValueError("subset must name parties present in the token file")
     elements = [tokens[str(p)] for p in subset]

@@ -1,10 +1,10 @@
 """Canonical, self-describing serialization.
 
-Documents are JSON objects {"schema": <kind>, "version": 3, "payload": ...}
+Documents are JSON objects {"schema": <kind>, "version": 4, "payload": ...}
 rendered with sorted keys and no whitespace, so a fixed input always
 produces the same bytes.  Integers are arbitrary precision; floats are
 refused outright to keep byte output platform independent.  Documents of
-any other version are refused.
+any other version, and objects that repeat a key, are refused.
 
 Binary fields are canonical base64 text.  A matrix document is
 {"rows", "cols", "bits", "b64"}: its int64 entries, row-major, each
@@ -23,7 +23,7 @@ import json
 
 import numpy as np
 
-VERSION = 3
+VERSION = 4
 
 KNOWN_SCHEMAS = {
     "set-system",
@@ -65,9 +65,17 @@ def serialize(kind: str, payload) -> bytes:
                       ensure_ascii=True).encode() + b"\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object hook: a repeated key would let a later value override what was read."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise SerializationError("document repeats a key")
+    return obj
+
+
 def deserialize(data: bytes, expect_kind: str | None = None):
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SerializationError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"schema", "version", "payload"}:
@@ -162,7 +170,7 @@ def set_system_doc(system) -> dict:
 
 def doc_set_system(payload: dict):
     from .numt import Modulus
-    from .setsys import SetSystem
+    from .setsys import SetSystem, require_cells
 
     try:
         h = int(payload["universe_size"])
@@ -182,6 +190,7 @@ def doc_set_system(payload: dict):
     if h > entries:
         raise SerializationError(
             f"universe_size {h} exceeds the {entries} element entries the sets list")
+    require_cells(len(rows), h)
     sets = np.zeros((len(rows), h), dtype=bool)
     for i, row in enumerate(rows):
         if row and (min(row) < 0 or max(row) >= h):

@@ -45,6 +45,16 @@ from .numt import (
 )
 
 
+MAX_CELLS = 2**26     # largest sets x universe matrix built or loaded, in booleans
+
+
+def require_cells(rows: int, cols: int) -> None:
+    """Refuse a rows x cols membership matrix above MAX_CELLS before allocating it."""
+    if rows * cols > MAX_CELLS:
+        raise ValueError(f"{rows} sets over a universe of {cols} exceed the "
+                         f"{MAX_CELLS}-cell budget")
+
+
 def integer_root_ceil(n: int, r: int) -> int:
     """Exact ceil(n ** (1/r)) for positive integers."""
     if n < 1 or r < 1:
@@ -165,11 +175,17 @@ def build_grolmusz_system(m: Modulus, n: int) -> SetSystem:
     reduced coefficient contribute no elements.  Only m and n shape G, and
     build_bbr_core_values checks both: m odd, squarefree and of two or
     more primes, n >= 1, and a prime-power product above n.  merge_systems
-    checks the merge factor l.
+    checks the merge factor l.  n^n sets, and n^n times the universe, must
+    stay within MAX_CELLS.
     """
+    if n > 1 and n * math.log2(n) > math.log2(MAX_CELLS):    # n**n itself may be huge
+        raise ValueError(f"n = {n} gives n^n sets, over the {MAX_CELLS}-cell budget")
     q_poly = build_bbr_polynomial(m, n)
     monomials = q_poly.monomials()
 
+    # a coefficient can be as large as m, so bound the universe before listing copies
+    universe = sum(q_poly.coeffs[mono] * n ** len(mono) for mono in monomials)
+    require_cells(n**n, universe)
     offsets = {}
     pos = 0
     for mono in monomials:
@@ -178,7 +194,6 @@ def build_grolmusz_system(m: Modulus, n: int) -> SetSystem:
         for copy in range(c):
             offsets[(mono, copy)] = pos
             pos += block_count
-    universe = pos
 
     labels = list(itertools.product(range(n), repeat=n))
     sets = np.zeros((len(labels), universe), dtype=bool)
@@ -226,6 +241,7 @@ def merge_systems(g_system: SetSystem, l: int) -> SetSystem:
     core_idx = np.flatnonzero(core_mask)
     rest_idx = np.flatnonzero(~core_mask)
     h = l * g       # a core elements, l * (g - a) rest elements, (l - 1) * a padding
+    require_cells(l * s + s**l, h)
 
     maps = []
     pos = a

@@ -15,18 +15,15 @@ and test the cardinality: nonzero and 0 mod m means authorized.  The
 tokens never identify Omega, and re-running with a fresh gamma rewrites
 every token while preserving all verdicts.
 
-The member sets are built over m' = m * p for an extra prime p and read
-under m.  Since m | m', a size that is 0 mod m' is 0 mod m as well, so a
-second test mod m' could never change a verdict.  Soundness needs the
-largest prime divisor of m to exceed l + |Omega| + kappa, so the default
-token system uses m = 39 = 3*13 (built over m' = 195 = 3*5*13), hosting
-|Omega| up to 8.
+Soundness needs the largest prime divisor of m to exceed
+l + |Omega| + kappa, so the default token system is built and tested over
+the one modulus m = 39 = 3*13, hosting |Omega| up to 8.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +31,6 @@ from .numt import Modulus
 from .setsys import SetSystem, build_grolmusz_system, merge_layout, merge_systems
 
 DEFAULT_M = 39
-DEFAULT_M_PRIME = 195
 DEFAULT_N = 3
 DEFAULT_L = 2
 
@@ -68,18 +64,16 @@ class AccessStructureInstance:
 
 
 @functools.lru_cache(maxsize=4)
-def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M_PRIME,
+def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M,
                           n: int = DEFAULT_N, l: int = DEFAULT_L) -> SetSystem:
-    """Build the merged member collection over m' and read it under m.
+    """The merged member collection over m, whose sizes are 0 mod m.
 
-    Since m | m', all member sizes are 0 mod m as well, and the per-copy
-    intersection values stay in {0,1} modulo every prime divisor of m, so
-    the collection has restricted intersections under m.
+    m_prime must equal m.  The slot is there only because perfbench/run.py
+    passes these four arguments positionally.
     """
-    if m_prime % m != 0 or m_prime == m:
-        raise ValueError("m' must be a proper multiple of m")
-    g = build_grolmusz_system(Modulus.of(m_prime), n)
-    return replace(merge_systems(g, l), modulus=Modulus.of(m))
+    if m_prime != m:
+        raise ValueError("the token system has one modulus: m_prime must equal m")
+    return merge_systems(build_grolmusz_system(Modulus.of(m), n), l)
 
 
 def _encoding_structure(system: SetSystem):

@@ -16,9 +16,12 @@ the secret off as det(M) = k^{c(p-1)+1} = k mod p.
 
 Hidden membership and the keys to the terminal trapdoor both ride on
 access-structure tokens: every authorized coalition, and only those,
-intersects its tokens to one fixed identifier set, and the header
+intersects its tokens to one fixed identifier set gamma(H).  The header
 carrying the chain order, the exponents and the terminal trapdoor is
-encrypted under a key derived from exactly that set.  Parties outside
+encrypted under a key derived from gamma(H) and K2, the XOR of the Omega
+members' key shares; every party holds one uniform key share per
+instance, so no coalition without all of Omega holds K2, and a coalition
+that has them finds K2 among the XORs of its shares' subsets.  Parties outside
 the chain receive decoy matrices and encodings drawn from the same
 marginal distributions, and serialize_bundles pads every serialized
 bundle to one byte length.
@@ -34,7 +37,7 @@ fluke per check.
 from __future__ import annotations
 
 import hashlib
-import hmac as hmac_mod
+import hmac
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -61,7 +64,6 @@ from .rng import named_stream
 from .tokens import (
     DEFAULT_L,
     DEFAULT_M,
-    DEFAULT_M_PRIME,
     DEFAULT_N,
     combine_tokens,
     default_token_systems,
@@ -102,7 +104,7 @@ class VssParams:
 
     lwe: LweParams
     token_m: ClassVar[int] = DEFAULT_M
-    token_m_prime: ClassVar[int] = DEFAULT_M_PRIME
+    token_m_prime: ClassVar[int] = DEFAULT_M   # equals token_m; read only by perfbench/run.py
     token_n: ClassVar[int] = DEFAULT_N
     token_l: ClassVar[int] = DEFAULT_L
 
@@ -126,6 +128,9 @@ class VssParams:
                              c_bound_milli=doc["c_bound_milli"]))
 
 
+KEY_SHARE_BYTES = 32
+
+
 @dataclass
 class InstanceShare:
     instance_id: str
@@ -133,6 +138,7 @@ class InstanceShare:
     a_matrix: np.ndarray       # (w, n): chain matrix or decoy
     d_matrix: np.ndarray       # (w, w): encoding or decoy
     header_ct: bytes
+    key_share: bytes           # uniform; K2 is the XOR of Omega's shares
 
     def to_doc(self) -> dict:
         return {
@@ -141,11 +147,12 @@ class InstanceShare:
             "a": serial.matrix_doc(self.a_matrix),
             "d": serial.matrix_doc(self.d_matrix),
             "header_ct": serial.to_b64(self.header_ct),
+            "key_share": serial.to_b64(self.key_share),
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InstanceShare":
-        fields = {"instance_id", "token", "a", "d", "header_ct"}
+        fields = {"instance_id", "token", "a", "d", "header_ct", "key_share"}
         if not isinstance(doc, dict) or doc.keys() != fields:
             raise serial.SerializationError(
                 f"instance share must be exactly the fields {', '.join(sorted(fields))}")
@@ -157,10 +164,13 @@ class InstanceShare:
             raise serial.SerializationError("token must be nonempty and strictly increasing")
         if not isinstance(instance_id, str):
             raise serial.SerializationError("instance_id must be a string")
+        key_share = serial.from_b64(doc["key_share"])
+        if len(key_share) != KEY_SHARE_BYTES:
+            raise serial.SerializationError(f"key_share must be {KEY_SHARE_BYTES} bytes")
         return cls(instance_id=instance_id, token=frozenset(token),
                    a_matrix=serial.doc_matrix(doc["a"]),
                    d_matrix=serial.doc_matrix(doc["d"]),
-                   header_ct=serial.from_b64(doc["header_ct"]))
+                   header_ct=serial.from_b64(doc["header_ct"]), key_share=key_share)
 
 
 @dataclass
@@ -214,36 +224,51 @@ class ShareBundle:
 # header encryption: hash KDF, xor keystream, MAC; deterministic per key/nonce
 
 
-def _kdf(element_ids, purpose: bytes) -> bytes:
-    h = hashlib.sha256()
-    h.update(b"veilshare.header.v2|" + purpose + b"|")
-    h.update(",".join(str(i) for i in sorted(element_ids)).encode())
-    return h.digest()
+def header_keys(element_ids, key_parts):
+    """SHA-256(domain | K2 | gamma(H)) for each candidate K2 in key_parts, lazily."""
+    ids = ",".join(str(i) for i in sorted(element_ids)).encode()
+    for part in key_parts:
+        yield hashlib.sha256(b"veilshare.header.v4|" + part + ids).digest()
 
 
-def _xor_keystream(element_ids, nonce: str, data: bytes) -> bytes:
-    stream = hashlib.shake_256(_kdf(element_ids, b"enc") + nonce.encode()).digest(len(data))
+def _subset_xors(key_shares: list[bytes]):
+    """XOR of each nonempty subset of key_shares: step i flips the share at i's lowest set bit."""
+    values = [int.from_bytes(share, "big") for share in key_shares]
+    acc = 0
+    for i in range(1, 1 << len(values)):
+        acc ^= values[(i & -i).bit_length() - 1]
+        yield acc.to_bytes(KEY_SHARE_BYTES, "big")
+
+
+def _xor_keystream(key: bytes, nonce: str, data: bytes) -> bytes:
+    stream = hashlib.shake_256(b"enc|" + key + nonce.encode()).digest(len(data))
     return (int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")).to_bytes(
         len(data), "little")
 
 
-def _mac(element_ids, nonce: str, ct: bytes) -> bytes:
-    key = _kdf(element_ids, b"mac")
-    return hmac_mod.new(key, nonce.encode() + ct, hashlib.sha256).digest()
+def _ct_digest(nonce: str, ct: bytes) -> bytes:
+    return hashlib.sha256(nonce.encode() + b"|" + ct).digest()
 
 
-def seal_header(element_ids, nonce: str, plaintext: bytes) -> bytes:
-    ct = _xor_keystream(element_ids, nonce, plaintext)
-    return ct + _mac(element_ids, nonce, ct)
+def seal_header(key: bytes, nonce: str, plaintext: bytes) -> bytes:
+    ct = _xor_keystream(key, nonce, plaintext)
+    return ct + hmac.digest(key, _ct_digest(nonce, ct), "sha256")
 
 
-def open_header(element_ids, nonce: str, sealed: bytes) -> bytes:
+def open_header(candidate_keys, nonce: str, sealed: bytes) -> bytes:
+    """Decrypt under the first candidate key whose MAC verifies.
+
+    nonce | ct is hashed once, so each candidate costs one HMAC over a
+    32-byte digest.
+    """
     if len(sealed) < 32:
         raise VssError("header too short")
     ct, tag = sealed[:-32], sealed[-32:]
-    if not hmac_mod.compare_digest(tag, _mac(element_ids, nonce, ct)):
-        raise VssError("header authentication failed")
-    return _xor_keystream(element_ids, nonce, ct)
+    digest = _ct_digest(nonce, ct)
+    for key in candidate_keys:
+        if hmac.compare_digest(tag, hmac.digest(key, digest, "sha256")):
+            return _xor_keystream(key, nonce, ct)
+    raise VssError("header authentication failed")
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +322,8 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
     gamma0 = _validate_gamma0(gamma0, parties)
     lwe = params.lwe
     p, q, n = lwe.p, lwe.q, lwe.n
-    # positional, as every caller passes them, so the lru_cache builds it once
-    system = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
+    # positional, as perfbench passes them, so the lru_cache builds it once
+    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
 
     per_party: dict[int, list[InstanceShare]] = {i: [] for i in range(1, parties + 1)}
     for idx, omega in enumerate(gamma0):
@@ -345,8 +370,12 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
             "r_term": serial.matrix_doc(chain[-1].R),
         }
         header_bytes = serial.serialize("reconstruction", header_payload)
-        key_ids = instance.authorized_element_ids()
-        sealed = seal_header(key_ids, inst_id, header_bytes)
+        # row i - 1 is party i's key share; decoys and members draw alike
+        key_shares = named_stream(seed, "vss", "key", inst_id).integers(
+            0, 256, size=(parties, KEY_SHARE_BYTES), dtype=np.uint8)
+        k2 = np.bitwise_xor.reduce(key_shares[[party - 1 for party in omega]]).tobytes()
+        [key] = header_keys(instance.authorized_element_ids(), [k2])
+        sealed = seal_header(key, inst_id, header_bytes)
 
         for party in range(1, parties + 1):
             token = instance.token_for(party)
@@ -355,8 +384,8 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
                 a_mat, d_mat = chain[pos].A, d_mats[pos]
             else:
                 a_mat, d_mat = decoys[party].A, decoy_d[party]
-            per_party[party].append(
-                InstanceShare(inst_id, token, a_mat, d_mat, sealed))
+            per_party[party].append(InstanceShare(
+                inst_id, token, a_mat, d_mat, sealed, key_shares[party - 1].tobytes()))
 
     return [ShareBundle(party, params, per_party[party])
             for party in range(1, parties + 1)]
@@ -373,6 +402,9 @@ def serialize_bundles(bundles: list[ShareBundle]) -> list[bytes]:
 
 def _opened_chains(bundles: list[ShareBundle]):
     """Token-test every dealt instance; open the header of each certified one.
+
+    K2 is tried as the XOR of each nonempty subset of the c parties' key
+    shares: at most 2^c - 1 header keys.
 
     Yields (shares by party, header payload, terminal trapdoor) for every
     instance whose tokens certify the coalition, with header and trapdoor
@@ -393,9 +425,9 @@ def _opened_chains(bundles: list[ShareBundle]):
         combined = combine_tokens([s.token for s in shares.values()])
         if not membership_test(combined, DEFAULT_M):
             continue
+        keys = header_keys(combined, _subset_xors([s.key_share for s in shares.values()]))
         try:
-            header_bytes = open_header(tuple(sorted(combined)), instance_id,
-                                       shares[bundles[0].party].header_ct)
+            header_bytes = open_header(keys, instance_id, shares[bundles[0].party].header_ct)
             header = serial.deserialize(header_bytes, "reconstruction")
         except (VssError, serial.SerializationError):
             yield shares, None, None

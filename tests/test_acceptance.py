@@ -342,7 +342,8 @@ def test_criterion_09_share_size_bound():
         def build():
             bundles = deal(secret, [(1, 2, 3)], 5, params, seed=SEED + 9)
             blobs = serialize_bundles(bundles)
-            universe = 12948 + 3 + 2     # token system universe plus tags
+            # token system universe plus |Omega| + kappa tags
+            universe = default_token_systems().universe_size + 3 + 2
             bound = max_share_size(5, params.lwe.q, universe, rho=0.5)
             return {"lengths": [len(b) for b in blobs], "bound": bound}
 

@@ -22,7 +22,7 @@ from veilshare.vss import VssParams
 
 def test_empty_report_fixed_bytes():
     blob = serial.serialize("empty-report", {})
-    assert blob == b'{"payload":{},"schema":"empty-report","version":3}\n'
+    assert blob == b'{"payload":{},"schema":"empty-report","version":4}\n'
     assert serial.deserialize(blob, "empty-report") == {}
 
 
@@ -260,6 +260,42 @@ def test_cli_setsys_verify_rejects_malformed_files(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("invalid:")
 
 
+def test_cli_set_systems_stay_within_the_cell_budget(tmp_path, capsys):
+    # refused before allocating: n = 4 merges 66,048 sets over 5,730 elements,
+    # n = 8 lists 8**8 sets over 86.7 M elements, n = 9 (9**9 sets) was
+    # killed by the kernel, and m = 3 * (10**9 + 7) has polynomial
+    # coefficients near 10**9, each a run of copies to list; the file
+    # declares 8,193 sets over 8,192 elements
+    for m, n in ((15, 4), (15, 8), (15, 9), (3 * (10**9 + 7), 2)):
+        assert run_cli("setsys", "build", "--m", str(m), "--n", str(n),
+                       "--out", str(tmp_path / "h.json")) == 2, (m, n)
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "budget" in err
+    payload = {"m": 15, "universe_size": 8192, "labels": [], "t": 2,
+               "sets": [list(range(8192))] + [[0]] * 8192}
+    (tmp_path / "big.json").write_bytes(serial.serialize("set-system", payload))
+    assert run_cli("setsys", "verify", str(tmp_path / "big.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and "budget" in err
+
+
+def test_cli_refuses_repeated_keys(tmp_path, capsys):
+    # json.loads keeps the last of repeated keys, so this share used to load
+    # as party 1 and, with shares 2 and 3, reconstruct the secret
+    outdir = tmp_path / "shares"
+    assert run_cli("--seed", "9", "--quiet", "deal", "--secret", "3",
+                   "--gamma0", "1,2,3", "--parties", "5",
+                   "--outdir", str(outdir)) == 0
+    blob = (outdir / "share_001.json").read_bytes()
+    assert blob.count(b'"party":1}') == 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(blob.replace(b'"party":1}', b'"party":7,"party":1}'))
+    shares = ",".join([str(bad), *(str(outdir / f"share_00{i}.json") for i in (2, 3))])
+    assert run_cli("reconstruct", "--shares", shares) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and "repeats a key" in err
+
+
 def test_cli_tokens_roundtrip(tmp_path):
     out = tmp_path / "tok.json"
     assert run_cli("--seed", "5", "--quiet", "tokens", "gen", "--parties", "5",
@@ -337,9 +373,9 @@ def test_cli_rejects_malformed_inputs(tmp_path, capsys):
         serial.serialize("token-instance", {"tokens": {"1": [1, 2]}}))
     assert run_cli("--quiet", "tokens", "test", str(tmp_path / "bad_tok.json"),
                    "--subset", "1") == 2
-    # moduli are integers >= 2 and each token a list of integers
-    good = {"instance_id": "x", "parties": 1, "m": 39, "m_prime": 195,
-            "tokens": {"1": list(range(39))}}
+    # m is an integer >= 2, each token a list of integers, and any other
+    # field (m_prime included) is refused
+    good = {"instance_id": "x", "parties": 1, "m": 39, "tokens": {"1": list(range(39))}}
     for change in ({"m": 0}, {"m": "x"}, {"m_prime": True}, {"m_prime": 200},
                    {"tokens": {"1": 5}}, {"tokens": {"1": "abc"}},
                    {"tokens": 5}, {"instance_id": []}):
@@ -420,6 +456,14 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
                        reason=reason)
 
+    # a key share is exactly 32 bytes
+    def short_key(inst):
+        inst["key_share"] = serial.to_b64(bytes(31))
+    shares = [rewritten(files[0], short_key), *files[1:3]]
+    assert_invalid("reconstruct", "--shares", ",".join(shares), reason="key_share")
+    assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
+                   reason="key_share")
+
     # a prime p of 2**61-1 would stall trial division for minutes
     def huge_prime(doc):
         doc["p"] = doc["q"] = 2**61 - 1
@@ -473,8 +517,8 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["payload"] == {
         "outcome": "header-unavailable"}
 
-    # shares of a version-2 dealing are refused as such, not misread
-    for version in (1, 2):
+    # shares of an earlier version are refused as such, not misread
+    for version in (1, 2, 3):
         doc = json.loads(Path(files[0]).read_bytes())
         doc["version"] = version
         bad.write_bytes(json.dumps(doc).encode())

@@ -33,13 +33,13 @@ def test_every_traced_function_resolves():
 def test_desk_params_expose_what_the_benchmark_reads():
     params = VssParams.desk()
     assert (params.token_m, params.token_m_prime, params.token_n, params.token_l) == (
-        tokens.DEFAULT_M, tokens.DEFAULT_M_PRIME, tokens.DEFAULT_N, tokens.DEFAULT_L)
+        tokens.DEFAULT_M, tokens.DEFAULT_M, tokens.DEFAULT_N, tokens.DEFAULT_L)
     assert params.lwe.p == 31
 
 
 def test_deal_reuses_the_token_systems_the_benchmark_builds():
     # perfbench builds the systems positionally, then deals; lru_cache keys
-    # f() apart from f(39, 195, 3, 2), so a differently spelled call in deal
+    # f() apart from f(39, 39, 3, 2), so a differently spelled call in deal
     # would build them a second time
     params = VssParams.desk()
     tokens.default_token_systems.cache_clear()

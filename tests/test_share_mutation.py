@@ -19,7 +19,8 @@ from veilshare.cli import main
 VALUES = ["x", True, 2.5, None, [], [[[]]], 0, -1, 2**70]
 
 PARAM_FIELDS = ("n", "p", "q", "lam", "c_bound_milli")
-INSTANCE_LEAVES = [("instance_id",), ("token",), ("token", 0), ("header_ct",)] + [
+INSTANCE_LEAVES = [("instance_id",), ("token",), ("token", 0), ("header_ct",),
+                   ("key_share",)] + [
     (m, *rest) for m in ("a", "d")
     for rest in [(), ("rows",), ("cols",), ("bits",), ("b64",)]]
 

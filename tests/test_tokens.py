@@ -3,13 +3,11 @@ from collections import Counter
 
 import pytest
 
-from veilshare.numt import Modulus
 from veilshare.rng import named_stream
-from veilshare.setsys import SetSystem, verify_restricted_intersections
+from veilshare.setsys import verify_restricted_intersections
 from veilshare.tokens import (
     DEFAULT_L,
     DEFAULT_M,
-    DEFAULT_M_PRIME,
     DEFAULT_N,
     TokenEncodingError,
     combine_tokens,
@@ -41,12 +39,17 @@ def encode(system, parties, omega, seed, **kw):
 
 
 def test_default_systems_have_restricted_intersections_under_both_moduli(system):
-    # the members are built over m' = 195 and read under m = 39
+    # one modulus now: the members are built and read under m = 39
     assert system.modulus.m == 39
-    prime = SetSystem(Modulus.of(195), system.universe_size, system.sets)
-    for view in (system, prime):
-        report = verify_restricted_intersections(view, t=3, l=2, samples=2 * 10**4, seed=3)
-        assert report.ok, report.violations
+    report = verify_restricted_intersections(system, t=3, l=2, samples=2 * 10**4, seed=3)
+    assert report.ok, report.violations
+
+
+def test_default_systems_take_one_modulus():
+    # the second slot exists for the benchmark's positional call and must equal m
+    assert default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L).universe_size == 2340
+    with pytest.raises(ValueError):
+        default_token_systems(DEFAULT_M, 195, DEFAULT_N, DEFAULT_L)
 
 
 def test_membership_test_numeric_edges():
@@ -63,7 +66,7 @@ def test_deal_builds_no_gram_matrix():
     # H and its supersets are read off the merge layout, so dealing never
     # forms the 783 x 783 Gram matrix (or its 81 MB float operand)
     default_token_systems.cache_clear()
-    system = default_token_systems(DEFAULT_M, DEFAULT_M_PRIME, DEFAULT_N, DEFAULT_L)
+    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
     deal(Secret(3, 31), [(1, 2)], 3, VssParams.desk(), seed=1)
     assert default_token_systems.cache_info().currsize == 1
     assert not hasattr(system, "_gram")
@@ -97,15 +100,34 @@ def test_combined_tokens_values(system):
             assert len(combined) % inst.m != 0
 
 
-@pytest.mark.parametrize("parties,omega", [
+FIXED_CASES = [
     (6, (1, 2, 3)),
     (6, (2, 5)),
     (6, (6,)),
     (6, (1, 2, 3, 4, 5, 6)),
     (8, (1, 4, 7, 8)),
-])
-def test_exhaustive_soundness_and_completeness(system, parties, omega):
-    inst = encode(system, parties, omega, seed=hash(omega) % 2**32)
+]
+
+
+def soundness_cases():
+    """The fixed cases, then l in {5, 6, 8} x every |Omega| <= min(l, 8) x 6 seeds.
+
+    The sweep is 15,438 coalition verdicts, each of which must be exact.
+    """
+    for i, (parties, omega) in enumerate(FIXED_CASES):
+        yield pytest.param(parties, omega, hash(omega) % 2**32, id=f"{parties}-omega{i}")
+    for parties in (5, 6, 8):
+        for size in range(1, min(parties, 8) + 1):
+            for seed in range(6):
+                rng = named_stream(seed, "sweep", parties, size)
+                omega = tuple(sorted(int(v) + 1
+                                     for v in rng.choice(parties, size=size, replace=False)))
+                yield pytest.param(parties, omega, seed, id=f"l{parties}-size{size}-seed{seed}")
+
+
+@pytest.mark.parametrize("parties,omega,seed", soundness_cases())
+def test_exhaustive_soundness_and_completeness(system, parties, omega, seed):
+    inst = encode(system, parties, omega, seed=seed)
     for subset in all_subsets(parties):
         assert subset_is_authorized(inst, subset) == closure_member(subset, omega)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -152,9 +153,7 @@ def corrupt_encoding(bundles, party, seed):
             continue
         inst = b.instances[0]
         fake_d = rng.normal(0, b.params.lwe.sigma, size=inst.d_matrix.shape)
-        inst = type(inst)(inst.instance_id, inst.token,
-                          inst.a_matrix, np.rint(fake_d).astype(np.int64),
-                          inst.header_ct)
+        inst = dataclasses.replace(inst, d_matrix=np.rint(fake_d).astype(np.int64))
         out.append(ShareBundle(b.party, b.params, [inst]))
     return out
 
@@ -232,8 +231,7 @@ def test_header_tamper_detected(dealt):
         inst = b.instances[0]
         ct = bytearray(inst.header_ct)
         ct[5] ^= 0xFF
-        inst = type(inst)(inst.instance_id, inst.token, inst.a_matrix,
-                          inst.d_matrix, bytes(ct))
+        inst = dataclasses.replace(inst, header_ct=bytes(ct))
         tampered.append(ShareBundle(b.party, b.params, [inst]))
     with pytest.raises(VssError):
         reconstruct(tampered)
@@ -243,8 +241,7 @@ def test_disjoint_token_is_unauthorized(dealt):
     # an empty intersection has size 0, which is 0 mod m yet certifies nothing
     bundles = coalition(dealt, [1, 2, 3])
     inst = bundles[2].instances[0]
-    inst = type(inst)(inst.instance_id, frozenset({-1}), inst.a_matrix, inst.d_matrix,
-                      inst.header_ct)
+    inst = dataclasses.replace(inst, token=frozenset({-1}))
     tampered = [*bundles[:2], ShareBundle(3, bundles[2].params, [inst])]
     with pytest.raises(UnauthorizedError):
         reconstruct(tampered)
