@@ -317,22 +317,29 @@ def trapdoor_gen(params: LweParams,
     return trap
 
 
-def _decode_digit_block(block: list[int], q: int, d: int) -> tuple[int, bool]:
-    """Recover v from b_j = 2^j v + e_j mod q; exact while max |e_j| < q/6."""
+def _decode_digit_blocks(blocks: np.ndarray, q: int, d: int) -> tuple[np.ndarray, bool]:
+    """Recover every v from its block b_j = 2^j v + e_j mod q, j < d (last axis).
+
+    Exact while max |e_j| < q/6.  gamma = sum_j 2^(d-2-j) lift(b_{j+1} - 2 b_j)
+    stays below 2^(2d-2) in magnitude, so int64 holds it for 2d <= 62 and
+    Python ints (object arrays) hold it beyond.  e0 is rounded in float64,
+    as int / float division rounds gamma.
+    """
+    dtype = np.int64 if 2 * d <= 62 else object
+    b = np.asarray(blocks).astype(dtype)
     half = q // 2
 
     def lift(x):
-        x %= q
-        return x - q if x > half else x
+        x = np.mod(x, q)
+        return np.where(x > half, x - q, x)
 
-    gamma = 0
-    for j in range(d - 1):
-        gamma = 2 * gamma + lift(block[j + 1] - 2 * block[j])
-    e0 = -(gamma / float(2 ** (d - 1)))
-    e0 = int(math.floor(e0 + 0.5))
-    v = (block[0] - e0) % q
-    ok = all(abs(lift(block[j] - (v << j))) <= q // 4 for j in range(d))
-    return v, ok
+    horner = np.array([1 << j for j in range(d - 2, -1, -1)], dtype=dtype)
+    gamma = lift(b[..., 1:] - 2 * b[..., :-1]) @ horner
+    e0 = np.floor(-(np.asarray(gamma).astype(np.float64) / float(2 ** (d - 1))) + 0.5)
+    v = np.mod(b[..., 0] - e0.astype(np.int64).astype(dtype), q)
+    digits = np.array([1 << j for j in range(d)], dtype=dtype)
+    ok = bool((np.abs(lift(b - v[..., None] * digits)) <= q // 4).all())
+    return v.astype(np.int64), ok
 
 
 def lwe_invert(trap: TrapdoorMatrix, b_matrix: np.ndarray, check: bool = True):
@@ -349,14 +356,8 @@ def lwe_invert(trap: TrapdoorMatrix, b_matrix: np.ndarray, check: bool = True):
     if b.shape != (params.w, n):
         raise ValueError(f"expected B of shape {(params.w, n)}")
     y = np.mod(matmul_mod(trap.R, b[:wb], q) + b[wb:], q)
-
-    s = np.zeros((n, n), dtype=np.int64)
-    clean = True
-    for i in range(n):
-        for col in range(n):
-            block = [int(y[i * d + j, col]) for j in range(d)]
-            s[i, col], ok = _decode_digit_block(block, q, d)
-            clean = clean and ok
+    # row i*d + j of y is digit j of secret row i: one block per (i, col)
+    s, clean = _decode_digit_blocks(y.reshape(n, d, n).transpose(0, 2, 1), q, d)
     e = centered(np.mod(b - matmul_mod(trap.A, s, q), q), q)
     if check:
         bound = params.inversion_bound

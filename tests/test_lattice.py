@@ -26,6 +26,7 @@ from veilshare.lattice import (
     sample_prim_secret,
     trapdoor_gen,
 )
+from veilshare.lattice import _decode_digit_blocks
 
 DESK = LweParams(n=4, p=31, q=find_q(31, 23))
 
@@ -193,6 +194,40 @@ def test_invert_rejects_huge_error(trap):
     b = np.mod(trap.A.astype(object) @ s.astype(object) + e, DESK.q)
     with pytest.raises(InversionError):
         lwe_invert(trap, np.asarray(b, dtype=np.int64))
+
+
+def _decode_digit_block_reference(block: list[int], q: int, d: int) -> tuple[int, bool]:
+    """One block at a time in Python ints: the loop the array decode replaced."""
+    half = q // 2
+
+    def lift(x):
+        x %= q
+        return x - q if x > half else x
+
+    gamma = 0
+    for j in range(d - 1):
+        gamma = 2 * gamma + lift(block[j + 1] - 2 * block[j])
+    e0 = int(math.floor(-(gamma / float(2 ** (d - 1))) + 0.5))
+    v = (block[0] - e0) % q
+    return v, all(abs(lift(block[j] - (v << j))) <= q // 4 for j in range(d))
+
+
+@pytest.mark.parametrize("q_bits", [30, 40])
+def test_digit_decode_matches_the_scalar_reference(q_bits):
+    # d = 30 decodes in int64; d = 40 has |gamma| up to 2**78, in Python ints
+    q = find_q(31, q_bits)
+    d = LweParams(n=4, p=31, q=q).d
+    rng = named_stream(16, "decode", q_bits)
+    for trial in range(1500):
+        if trial % 2:
+            block = [int(v) for v in rng.integers(0, q, size=d)]
+        else:       # near a codeword, errors up to about q/4
+            v = int(rng.integers(0, q))
+            spread = (1, q // 64, q // 8, q // 4)[trial // 2 % 4]
+            block = [((v << j) + int(rng.integers(-spread, spread + 1))) % q
+                     for j in range(d)]
+        got, ok = _decode_digit_blocks(np.array([block], dtype=object), q, d)
+        assert (int(got[0]), ok) == _decode_digit_block_reference(block, q, d), trial
 
 
 def test_preimage_congruence_and_norm(trap):
