@@ -24,7 +24,10 @@ Preimage sampling inverts the syndrome map d^T A = u^T by sampling one
 digit-lattice coset vector per secret coordinate with a randomized
 nearest-plane (Klein) walk over the standard gadget basis, then mapping
 through [R | I]^T.  Rejection against the norm caps keeps
-||d||_inf < sigma*sqrt(lambda) as the dealer requires.
+||d||_inf < sigma*sqrt(lambda) as the dealer requires.  Every basis
+vector but the last (the bits of q) is 2 e_i - e_(i+1), so the walk
+updates two coordinates per plane, and each plane draws its integers by
+exact rejection from a tabulated discrete Gaussian proposal.
 
 Bookkeeping note on the matrix-secret view: an n x n secret is n
 column secrets against one public matrix, and insisting on a generator
@@ -194,30 +197,59 @@ def sample_dgauss(rng: np.random.Generator, sigma: float, size) -> np.ndarray:
     return out.reshape(size)
 
 
+PROPOSAL_WIDTH = 1.15      # proposal sigma over target sigma: about 83 % acceptance
+
+
+# keyed by the plane width, which (q, d, sigma_z) fixes: d widths per profile
+@functools.lru_cache(maxsize=256)
+def _dgauss_table(sigma: float) -> tuple[np.ndarray, int, float, float]:
+    """Proposal CDF over offsets -half..half, plus the exponents a and b.
+
+    The proposal is a discrete Gaussian of width PROPOSAL_WIDTH * sigma
+    with offset 0 weighted twice, as the target is.  Beyond 10 proposal
+    widths both weights are below 2^-60 of the total.
+    """
+    tau = PROPOSAL_WIDTH * sigma
+    half = math.ceil(10 * tau)
+    offsets = np.arange(-half, half + 1)
+    b = 1.0 / (2 * tau * tau)
+    weights = np.exp(-b * offsets * offsets)
+    weights[half] *= 2
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0          # every uniform in [0, 1) lands on an offset
+    cdf.flags.writeable = False
+    return cdf, half, 1.0 / (2 * sigma * sigma), b
+
+
 def sample_dgauss_centered(rng: np.random.Generator, sigma: float,
                            centers: np.ndarray) -> np.ndarray:
-    """Discrete Gaussians over Z with per-entry real centers, same width."""
+    """Discrete Gaussians over Z with per-entry real centers, same width.
+
+    x = r + u with r = floor(c + 0.5) has weight rho_sigma(x - c), doubled
+    at x = r.  Each round draws one (proposal, acceptance) uniform pair per
+    pending entry: u comes from a tabulated proposal of width tau > sigma,
+    and is kept with probability exp(b u^2 - a (u - f)^2 - m(f)), where
+    f = c - r, a = 1/(2 sigma^2), b = 1/(2 tau^2) and m(f) = a b f^2/(a - b)
+    is the exponent's maximum over real u.  The ratio is exact.
+    """
     if sigma <= 0.5:
         raise ValueError("sigma too small")
+    cdf, half, a, b = _dgauss_table(float(sigma))
     centers = np.asarray(centers, dtype=np.float64)
     flat = centers.ravel()
-    out = np.zeros(flat.shape, dtype=np.int64)
+    out = np.empty(flat.shape, dtype=np.int64)
     todo = np.arange(flat.size)
     rounded = np.floor(flat + 0.5)
-    p_geom = 1.0 - math.exp(-1.0 / sigma)
-    log_m = 0.5 + 1.0 / (2 * sigma)
+    frac = flat - rounded
+    log_max = a * b / (a - b) * frac * frac
     while todo.size:
-        k = todo.size
-        mag = rng.geometric(p_geom, size=k) - 1
-        sign = rng.integers(0, 2, size=k) * 2 - 1
-        u = sign * mag
-        x = rounded[todo] + u
-        log_ratio = -((x - flat[todo]) ** 2) / (2 * sigma * sigma) \
-            + np.abs(u) / sigma - log_m
-        accept = rng.random(k) < np.exp(log_ratio)
-        hit = todo[accept]
-        out[hit] = x[accept].astype(np.int64)
-        todo = todo[~accept]
+        draw = rng.random((todo.size, 2))
+        u = cdf.searchsorted(draw[:, 0], side="right") - half
+        out[todo] = rounded + u        # a rejected entry is overwritten next round
+        log_ratio = b * u * u - a * (u - frac) ** 2 - log_max
+        keep = draw[:, 1] >= np.exp(log_ratio)
+        todo, rounded, frac, log_max = todo[keep], rounded[keep], frac[keep], log_max[keep]
     return out.reshape(centers.shape)
 
 
@@ -257,18 +289,30 @@ def sample_gadget_cosets(rng: np.random.Generator, q: int, d: int, sigma_z: floa
     Starts from the binary decomposition of each target (an exact coset
     representative) and walks the gadget basis planes with randomized
     rounding, yielding short coset vectors of per-entry width ~ sigma_z.
+    The first plane, the bits of q, is dense; every later one moves only
+    coordinates i and i + 1.
     """
     basis, gso, norms2 = _gadget_basis(q, d)
     targets = np.asarray(targets, dtype=np.int64) % q
     k = targets.shape[0]
-    u0 = ((targets[:, None] >> np.arange(d, dtype=np.int64)) & 1).astype(np.float64)
-    remaining = -u0
-    coeff = np.zeros((k, d), dtype=np.int64)
+    # coordinate-major (d, k): the sparse updates touch two contiguous rows
+    u0 = (targets >> np.arange(d, dtype=np.int64)[:, None]) & 1
+    remaining = -u0.astype(np.float64)
+    coeff = np.empty((d, k), dtype=np.int64)
+    q_bits = basis[:, d - 1]
     for i in range(d - 1, -1, -1):
-        c = remaining @ gso[:, i] / norms2[i]
-        coeff[:, i] = sample_dgauss_centered(rng, sigma_z / math.sqrt(norms2[i]), c)
-        remaining -= coeff[:, i: i + 1] * basis[:, i].astype(np.float64)
-    z = u0.astype(np.int64) + coeff @ basis.T
+        c = gso[:, i] @ remaining / norms2[i]
+        coeff[i] = sample_dgauss_centered(rng, sigma_z / math.sqrt(norms2[i]), c)
+        if i == d - 1:          # the bits of q: the one dense column
+            remaining -= q_bits[:, None] * coeff[i].astype(np.float64)
+        else:                   # 2 e_i - e_(i+1)
+            remaining[i] -= 2 * coeff[i]
+            remaining[i + 1] += coeff[i]
+    # z = u0 + basis @ coeff, column by column of the basis
+    zt = u0 + q_bits[:, None] * coeff[d - 1]
+    zt[: d - 1] += 2 * coeff[: d - 1]
+    zt[1:] -= coeff[: d - 1]
+    z = np.ascontiguousarray(zt.T)
     check = (z @ gadget_powers(d)) % q
     if not (check == targets).all():
         raise RuntimeError("coset sampling lost the syndrome")

@@ -22,6 +22,7 @@ from veilshare.lattice import (
     modswitch_window_ok,
     prim_acceptance_fraction,
     sample_dgauss,
+    sample_dgauss_centered,
     sample_preimage_batch,
     sample_prim_secret,
     trapdoor_gen,
@@ -152,6 +153,39 @@ def test_dgauss_moments():
         x = sample_dgauss(rng, sigma, 40_000)
         assert abs(float(x.mean())) < 4 * sigma / math.sqrt(40_000)
         assert abs(float(x.std()) - sigma) / sigma < 0.05
+
+
+@pytest.mark.parametrize("sigma", [1.21, 1.36, 1.57])
+def test_dgauss_centered_matches_its_exact_weights(sigma):
+    """Chi-square of sample_dgauss_centered against rho_sigma(x - c) * (1 + [x = round(c)]).
+
+    The integer nearest c, floor(c + 0.5), is counted twice: the sampler
+    has always proposed that offset as both +0 and -0, and ROADMAP item 3
+    holds the fix back.  Fixing it drops the (1 + [x = round(c)]) factor.
+    The widths are those of the desk profile's gadget planes.
+    """
+    draws = 100_000
+    offsets = np.arange(-40, 41)
+    for c in (0.0, 0.3, 0.5, -0.49, 1.2, 1000.3):
+        nearest = math.floor(c + 0.5)
+        rng = named_stream(17, "dgauss-centered", sigma, c)
+        x = sample_dgauss_centered(rng, sigma, np.full(draws, c))
+        weights = np.exp(-((nearest + offsets - c) ** 2) / (2 * sigma**2))
+        weights[offsets == 0] *= 2
+        expected = draws * weights / weights.sum()
+        observed = np.bincount(x - nearest - offsets[0], minlength=offsets.size)
+        assert observed.size == offsets.size, "a draw fell beyond 40 offsets"
+        # pool the thin tails so every bin expects at least 5 draws
+        body = expected >= 5
+        obs = np.append(observed[body], observed[~body].sum())
+        exp = np.append(expected[body], expected[~body].sum())
+        chi2 = float(((obs - exp) ** 2 / exp).sum())
+        df = obs.size - 1
+        # Wilson-Hilferty upper 1e-6 point of chi-square with df degrees:
+        # 18 fixed streams, so about 2e-5 of false failure in all
+        z = 4.753
+        critical = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+        assert chi2 < critical, (c, chi2, critical)
 
 
 # ---------------------------------------------------------------------------
