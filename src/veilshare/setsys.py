@@ -160,6 +160,12 @@ class SetSystem:
         """
         cached = getattr(self, "_gram", None)
         if cached is None:
+            rows, universe = self.sets.shape
+            # the float64 copy of the sets and the product, before either exists
+            if rows * (universe + rows) * 8 > MAX_CELLS:
+                raise ValueError(f"the Gram matrix of {rows} sets over {universe} "
+                                 f"elements needs {rows * (universe + rows) * 8} bytes, "
+                                 f"over the {MAX_CELLS}-byte budget")
             a = self.sets.astype(np.float64)
             cached = np.rint(a @ a.T).astype(np.int64)
             self._gram = cached

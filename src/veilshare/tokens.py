@@ -76,6 +76,17 @@ def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M,
     return merge_systems(build_grolmusz_system(Modulus.of(m), n), l)
 
 
+def token_id_bound() -> int:
+    """One past the largest element id a default token can hold.
+
+    Ids permute the universe plus |Omega| + kappa tag elements, and
+    encode_access_structure keeps l + |Omega| + kappa below the largest
+    prime of m.
+    """
+    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
+    return system.universe_size + max(system.modulus.primes) - DEFAULT_L - 1
+
+
 def _encoding_structure(system: SetSystem):
     """(l, candidate H rows, supersets per candidate, element ids), cached on the system.
 

@@ -69,6 +69,7 @@ from .tokens import (
     default_token_systems,
     encode_access_structure,
     membership_test,
+    token_id_bound,
 )
 
 
@@ -162,6 +163,9 @@ class InstanceShare:
         # strictly increasing: the one order to_doc writes, with no repeats
         if not token or any(a >= b for a, b in zip(token, token[1:])):
             raise serial.SerializationError("token must be nonempty and strictly increasing")
+        bound = token_id_bound()
+        if token[0] < 0 or token[-1] >= bound:
+            raise serial.SerializationError(f"token elements must lie in [0, {bound})")
         if not isinstance(instance_id, str):
             raise serial.SerializationError("instance_id must be a string")
         key_share = serial.from_b64(doc["key_share"])

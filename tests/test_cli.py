@@ -277,6 +277,13 @@ def test_cli_set_systems_stay_within_the_cell_budget(tmp_path, capsys):
     assert run_cli("setsys", "verify", str(tmp_path / "big.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid:") and "budget" in err
+    # 8,192 sets over 8,192 elements load within the budget, but their Gram
+    # matrix would take two float64 copies of 512 MiB each
+    payload["sets"].pop()
+    (tmp_path / "gram.json").write_bytes(serial.serialize("set-system", payload))
+    assert run_cli("setsys", "verify", str(tmp_path / "gram.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and "budget" in err
 
 
 def test_cli_refuses_repeated_keys(tmp_path, capsys):
@@ -434,6 +441,15 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         inst["token"] = "abc"
     shares = [rewritten(files[0], stringify_token), *files[1:3]]
     assert_invalid("reconstruct", "--shares", ",".join(shares), reason="token")
+
+    # token elements are ids of the universe and its tags; these were read as
+    # ids no coalition shares and refused as unauthorized (exit 3)
+    for change in (lambda inst: inst["token"].__setitem__(-1, 10**6),
+                   lambda inst: inst["token"].__setitem__(0, -5)):
+        shares = ",".join([rewritten(files[0], change), *files[1:3]])
+        assert_invalid("reconstruct", "--shares", shares, reason="token elements")
+        assert_invalid("verify", "--shares", shares, "--secret", "3",
+                       reason="token elements")
 
     # parameters that would divide by zero or overflow int64 in the chain walk
     def params(payload):
