@@ -162,10 +162,11 @@ class SetSystem:
         if cached is None:
             rows, universe = self.sets.shape
             # the float64 copy of the sets and the product, before either exists
-            if rows * (universe + rows) * 8 > MAX_CELLS:
+            need = rows * (universe + rows) * 8
+            if need > MAX_CELLS:
                 raise ValueError(f"the Gram matrix of {rows} sets over {universe} "
-                                 f"elements needs {rows * (universe + rows) * 8} bytes, "
-                                 f"over the {MAX_CELLS}-byte budget")
+                                 f"elements needs {need} bytes, over the "
+                                 f"{MAX_CELLS}-byte budget")
             a = self.sets.astype(np.float64)
             cached = np.rint(a @ a.T).astype(np.int64)
             self._gram = cached

@@ -159,10 +159,10 @@ def test_dgauss_moments():
 def test_dgauss_centered_matches_its_exact_weights(sigma):
     """Chi-square of sample_dgauss_centered against rho_sigma(x - c) * (1 + [x = round(c)]).
 
-    The integer nearest c, floor(c + 0.5), is counted twice: the sampler
-    has always proposed that offset as both +0 and -0, and ROADMAP item 3
-    holds the fix back.  Fixing it drops the (1 + [x = round(c)]) factor.
-    The widths are those of the desk profile's gadget planes.
+    The integer nearest c, floor(c + 0.5), is counted twice, as every
+    release of the sampler has drawn it; ROADMAP item 3 holds the fix
+    back.  Fixing it drops the doubling below, one line.  The widths are
+    those of the desk profile's gadget planes.
     """
     draws = 100_000
     offsets = np.arange(-40, 41)
