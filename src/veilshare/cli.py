@@ -20,7 +20,7 @@ from .setsys import build_grolmusz_system, merge_systems, verify_restricted_inte
 from .sim import SimulationConfig, run_simulation
 from .tokens import DEFAULT_L, DEFAULT_M, DEFAULT_N, \
     TokenEncodingError, combine_tokens, default_token_systems, \
-    encode_access_structure, membership_test
+    encode_access_structure, membership_test, token_id_bound
 from .vss import (
     HeaderUnavailableError,
     Secret,
@@ -106,9 +106,7 @@ def cmd_setsys_verify(args) -> int:
     report = verify_restricted_intersections(system, t=t, l=l,
                                              samples=args.samples, seed=args.seed)
     _emit(args, "intersection-report", report.to_doc())
-    if not report.ok:
-        raise ProtocolFailure({"violations": len(report.violations)})
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_PROTOCOL
 
 
 def cmd_tokens_gen(args) -> int:
@@ -147,12 +145,17 @@ def cmd_tokens_test(args) -> int:
     if any(not isinstance(e, list) or not e or any(type(v) is not int for v in e)
            for e in elements):
         raise serial.SerializationError("each token must be a nonempty list of integers")
+    ids = [v for e in elements for v in e]
+    if min(ids) < 0:
+        raise serial.SerializationError("token elements must be nonnegative")
+    # the bound InstanceShare.from_doc puts on the default system's tokens
+    if m == DEFAULT_M and max(ids) >= token_id_bound():
+        raise serial.SerializationError(
+            f"token elements must lie below {token_id_bound()} when m is {DEFAULT_M}")
     combined = combine_tokens([frozenset(e) for e in elements])
     ok = membership_test(combined, m)
     _emit(args, "empty-report", {"subset": list(subset), "authorized": ok})
-    if not ok:
-        raise ProtocolFailure({"authorized": False})
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_PROTOCOL
 
 
 def _c_bound_milli(text: str) -> int:

@@ -20,6 +20,15 @@ differences b_{j+1} - 2 b_j lift to e_{j+1} - 2 e_j over the integers
 whenever errors stay below q/6, which recovers e_0 by one rounded
 division and then v itself.  No power-of-two modulus is needed.
 
+Integer products are exact in one of three tiers (exact_matmul), chosen
+from the bound max|a| * max|b| * inner on every partial sum.  Below 2^53
+each partial sum is an integer that float64 holds exactly in any
+summation order, so the product runs in float64 BLAS; below 2^62 it runs
+in int64, which numpy multiplies without BLAS; beyond that in Python
+ints.  A chain product at the desk profile has q < 2^30, |D| < 2^8 and
+inner w = 124, so it stays below 2^45; at q_bits 38 to 46 it falls back
+to int64, and from 47 on to Python ints.
+
 Preimage sampling inverts the syndrome map d^T A = u^T by sampling one
 digit-lattice coset vector per secret coordinate with a randomized
 nearest-plane (Klein) walk over the standard gadget basis, then mapping
@@ -63,16 +72,30 @@ def centered(x, q: int):
     return np.where(c > q // 2, c - q, c)
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q, switching to exact object arithmetic when int64 could wrap."""
+def _max_abs(x: np.ndarray) -> int:
+    """max |x| as a Python int; np.abs would wrap -2^63 back to itself."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the integers, in the cheapest dtype that neither rounds nor wraps.
+
+    Every partial sum is bounded by max|a| * max|b| * inner: below 2^53 the
+    product runs in float64 BLAS, below 2^62 in int64, beyond in Python ints.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    inner = a.shape[-1]
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * inner
+    bound = _max_abs(a) * _max_abs(b) * a.shape[-1]
+    if bound < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     if bound < 2**62:
-        return np.mod(a.astype(np.int64) @ b.astype(np.int64), q)
-    prod = a.astype(object) @ b.astype(object)
-    return np.mod(prod, q).astype(object)
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q, exactly (see exact_matmul); object dtype beyond int64's reach."""
+    return np.mod(exact_matmul(a, b), q)
 
 
 def det_int(mat) -> int:
@@ -389,6 +412,10 @@ def _decode_digit_blocks(blocks: np.ndarray, q: int, d: int) -> tuple[np.ndarray
 def lwe_invert(trap: TrapdoorMatrix, b_matrix: np.ndarray, check: bool = True):
     """Recover (S, E) from B = A S + E.
 
+    B may also be k such instances side by side, [B_1 | ... | B_k] of shape
+    (w, k*n); S and E then come back in the same layout, (n, k*n) and
+    (w, k*n), all decoded in one pass.
+
     With ``check`` the implied error must stay within the params' declared
     inversion bound, else InversionError; without it the nearest decode is
     returned regardless (used by post-hoc share verification, where an
@@ -397,11 +424,11 @@ def lwe_invert(trap: TrapdoorMatrix, b_matrix: np.ndarray, check: bool = True):
     params = trap.params
     n, q, d, wb = params.n, params.q, params.d, params.w_bar
     b = np.mod(np.asarray(b_matrix), q)
-    if b.shape != (params.w, n):
-        raise ValueError(f"expected B of shape {(params.w, n)}")
+    if b.ndim != 2 or b.shape[0] != params.w or b.shape[1] % n or not b.shape[1]:
+        raise ValueError(f"expected B of shape {(params.w, n)}, or k of them side by side")
     y = np.mod(matmul_mod(trap.R, b[:wb], q) + b[wb:], q)
     # row i*d + j of y is digit j of secret row i: one block per (i, col)
-    s, clean = _decode_digit_blocks(y.reshape(n, d, n).transpose(0, 2, 1), q, d)
+    s, clean = _decode_digit_blocks(y.reshape(n, d, -1).transpose(0, 2, 1), q, d)
     e = centered(np.mod(b - matmul_mod(trap.A, s, q), q), q)
     if check:
         bound = params.inversion_bound
@@ -449,14 +476,14 @@ def sample_preimage_batch(traps: list[TrapdoorMatrix], targets_list: list[np.nda
         k = targets.shape[0]
         z = z_all[offset: offset + k * n].reshape(k, n * d)
         offset += k * n
-        out = np.concatenate([z @ trap.R.astype(np.int64), z], axis=1)
+        out = np.concatenate([exact_matmul(z, trap.R), z], axis=1)
         todo = np.flatnonzero(np.abs(out).max(axis=1) >= cap)
         for _ in range(PREIMAGE_RESAMPLES):
             if todo.size == 0:
                 break
             z_new = sample_gadget_cosets(rng, q, d, sigma_z, targets[todo].reshape(-1))
             z_new = z_new.reshape(len(todo), n * d)
-            cand = np.concatenate([z_new @ trap.R.astype(np.int64), z_new], axis=1)
+            cand = np.concatenate([exact_matmul(z_new, trap.R), z_new], axis=1)
             good = np.abs(cand).max(axis=1) < cap
             out[todo[good]] = cand[good]
             todo = todo[~good]

@@ -29,9 +29,10 @@ bundle to one byte length.
 Verification is communication free and runs after reconstruction: for
 each chain position j the suffix product D_last ... D_j A_j is inverted
 with the terminal trapdoor and det must step by k^{e_j} from the suffix
-above it.  A forged encoding survives one such check only if its decode
-happens to land on the right determinant residue, roughly a 1/(p-1)
-fluke per check.
+above it.  One walk down the chain builds every suffix product side by
+side, and reconstruction decodes the first of them.  A forged encoding
+survives one such check only if its decode happens to land on the right
+determinant residue, roughly a 1/(p-1) fluke per check.
 """
 
 from __future__ import annotations
@@ -444,15 +445,22 @@ def _opened_chains(bundles: list[ShareBundle]):
         yield shares, header, trap
 
 
-def _decode_suffix(shares, order: list[int], j: int, trap: TrapdoorMatrix,
-                   check: bool) -> int:
-    """det mod p of the S-power product decoded from D_last ... D_j A_j."""
-    q = trap.params.q
-    x = shares[order[j]].a_matrix % q
-    for party in order[j:]:
-        x = np.asarray(matmul_mod(shares[party].d_matrix, x, q), dtype=np.int64)
-    m_mat, _ = lwe_invert(trap, x, check=check)
-    return det_int(m_mat) % trap.params.p
+def _chain_walk(shares, order: list[int], trap: TrapdoorMatrix) -> np.ndarray:
+    """[D_last ... D_0 A_0 | D_last ... D_1 A_1 | ... | D_last A_last] mod q.
+
+    Each member in chain order appends its A as new columns, then the whole
+    stack is multiplied by its D once, so column block j ends up holding
+    the suffix product from position j on.
+    """
+    lwe = trap.params
+    stack = np.zeros((lwe.w, 0), dtype=np.int64)
+    for party in order:
+        a_mat = shares[party].a_matrix
+        if a_mat.shape != (lwe.w, lwe.n):
+            raise ValueError(f"expected A of shape {(lwe.w, lwe.n)}")
+        stack = np.concatenate([stack, a_mat % lwe.q], axis=1)
+        stack = np.asarray(matmul_mod(shares[party].d_matrix, stack, lwe.q), dtype=np.int64)
+    return stack
 
 
 def reconstruct(bundles: list[ShareBundle]) -> Secret:
@@ -471,13 +479,14 @@ def reconstruct(bundles: list[ShareBundle]) -> Secret:
         if header is None:
             corruption = "header failed to open for this coalition"
             continue
+        stack = _chain_walk(shares, header["order"], trap)
         try:
-            k = _decode_suffix(shares, header["order"], 0, trap, check=True)
+            m_mat, _ = lwe_invert(trap, stack[:, : trap.params.n], check=True)
         except InversionError as exc:
             corruption = exc
             continue
         try:
-            return Secret(k, trap.params.p)
+            return Secret(det_int(m_mat) % trap.params.p, trap.params.p)
         except ValueError as exc:
             # a clean inversion must telescope to a generator; anything else
             # means the dealing itself was inconsistent
@@ -508,10 +517,11 @@ def verify_shares(bundles: list[ShareBundle], secret: Secret) -> dict[int, int]:
         if header is None:
             continue
         opened_any = True
-        order, exps = header["order"], header["exponents"]
+        order, exps, n = header["order"], header["exponents"], trap.params.n
+        m_all, _ = lwe_invert(trap, _chain_walk(shares, order, trap), check=False)
         above = 1       # det of the S-power product strictly above j
         for j in range(len(order) - 1, -1, -1):
-            det_j = _decode_suffix(shares, order, j, trap, check=False)
+            det_j = det_int(m_all[:, j * n: (j + 1) * n]) % p
             if det_j != above * pow(secret.k, exps[j], p) % p:
                 verdicts[order[j]] = 0
             above = det_j

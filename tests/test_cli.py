@@ -13,6 +13,7 @@ from veilshare.cli import main
 from veilshare.numt import Modulus
 from veilshare.setsys import build_grolmusz_system, merge_systems
 from veilshare.sim import SimulationConfig, run_simulation
+from veilshare.tokens import token_id_bound
 from veilshare.vss import VssParams
 
 
@@ -313,6 +314,48 @@ def test_cli_tokens_roundtrip(tmp_path):
     assert run_cli("--quiet", "tokens", "test", str(out), "--subset", "9") == 2
 
 
+def test_cli_exit_3_prints_one_document(tmp_path, capsys):
+    out = tmp_path / "tok.json"
+    assert run_cli("--seed", "5", "--quiet", "tokens", "gen", "--parties", "5",
+                   "--omega", "1,2,3", "--out", str(out)) == 0
+    assert run_cli("tokens", "test", str(out), "--subset", "1,2,4") == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"] == {"subset": [1, 2, 4], "authorized": False}
+    payload = {"m": 15, "universe_size": 30,
+               "sets": [list(range(15)), list(range(15, 30))], "labels": [], "t": 2}
+    (tmp_path / "bad.json").write_bytes(serial.serialize("set-system", payload))
+    assert run_cli("setsys", "verify", str(tmp_path / "bad.json")) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == "intersection-report" and report["payload"]["ok"] is False
+
+
+def test_cli_tokens_test_refuses_ids_outside_the_universe(tmp_path, capsys):
+    # these files answered exit 3, unauthorized, as if the ids were real
+    out = tmp_path / "tok.json"
+    assert run_cli("--seed", "5", "--quiet", "tokens", "gen", "--parties", "5",
+                   "--omega", "1,2,3", "--out", str(out)) == 0
+    good = serial.deserialize(out.read_bytes(), "token-instance")
+    for last in (10**6, token_id_bound(), -5):
+        doc = json.loads(json.dumps(good))
+        doc["tokens"]["1"][-1] = last
+        (tmp_path / "bad.json").write_bytes(serial.serialize("token-instance", doc))
+        assert run_cli("--quiet", "tokens", "test", str(tmp_path / "bad.json"),
+                       "--subset", "1,2,3") == 2, last
+        assert capsys.readouterr().err.startswith("invalid:")
+    # another m has no known universe, but negative ids are refused for every m
+    doc = json.loads(json.dumps(good))
+    doc["m"] = 40
+    doc["tokens"]["1"][-1] = 10**6
+    (tmp_path / "other.json").write_bytes(serial.serialize("token-instance", doc))
+    assert run_cli("--quiet", "tokens", "test", str(tmp_path / "other.json"),
+                   "--subset", "1,2,3") == 3
+    doc["tokens"]["1"][-1] = -5
+    (tmp_path / "other.json").write_bytes(serial.serialize("token-instance", doc))
+    assert run_cli("--quiet", "tokens", "test", str(tmp_path / "other.json"),
+                   "--subset", "1,2,3") == 2
+    assert capsys.readouterr().err.startswith("invalid:")
+
+
 def test_cli_deal_reconstruct_verify(tmp_path, capsys):
     outdir = tmp_path / "shares"
     assert run_cli("--seed", "9", "--quiet", "deal", "--secret", "3",
@@ -435,6 +478,18 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
                   for i, f in enumerate(files[:3])]
         assert_invalid("reconstruct", "--shares", ",".join(shares))
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3")
+
+    # a chain member's A with its columns doubled would shift every column
+    # block after it in the stacked chain walk
+    def double_columns(inst):
+        a = serial.doc_matrix(inst["a"])
+        inst["a"] = serial.matrix_doc(np.concatenate([a, a], axis=1))
+    for victim in range(3):
+        shares = [rewritten(f, double_columns) if i == victim else f
+                  for i, f in enumerate(files[:3])]
+        assert_invalid("reconstruct", "--shares", ",".join(shares), reason="shape")
+        assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
+                       reason="shape")
 
     # token elements must be integers: a string would iterate as characters
     def stringify_token(inst):

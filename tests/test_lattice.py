@@ -13,10 +13,12 @@ from veilshare.lattice import (
     centered,
     det_count_formulas,
     det_int,
+    exact_matmul,
     f_p_fraction,
     find_modswitch_pair,
     find_q,
     lwe_invert,
+    matmul_mod,
     matrix_power_mod,
     modswitch_roundtrip,
     modswitch_window_ok,
@@ -230,6 +232,31 @@ def test_invert_rejects_huge_error(trap):
         lwe_invert(trap, np.asarray(b, dtype=np.int64))
 
 
+def test_invert_stacked_equals_separate_calls(trap):
+    rng = named_stream(12, "invert-stack")
+    q, bound = DESK.q, DESK.inversion_bound
+    blocks = []
+    for _ in range(3):
+        s = rng.integers(0, q, size=(4, 4), dtype=np.int64)
+        e = rng.integers(-bound, bound + 1, size=(DESK.w, 4), dtype=np.int64)
+        blocks.append(np.asarray(np.mod(trap.A.astype(object) @ s.astype(object) + e, q),
+                                 dtype=np.int64))
+    # one decoding far outside the bound: check=False returns its nearest decode
+    blocks[1] = rng.integers(0, q, size=(DESK.w, 4), dtype=np.int64)
+    s_all, e_all = lwe_invert(trap, np.concatenate(blocks, axis=1), check=False)
+    assert s_all.shape == (4, 12) and e_all.shape == (DESK.w, 12)
+    for t, b in enumerate(blocks):
+        s_one, e_one = lwe_invert(trap, b, check=False)
+        assert (s_all[:, 4 * t: 4 * t + 4] == s_one).all()
+        assert (e_all[:, 4 * t: 4 * t + 4] == e_one).all()
+    with pytest.raises(InversionError):
+        lwe_invert(trap, np.concatenate(blocks, axis=1))
+    lwe_invert(trap, np.concatenate([blocks[0], blocks[2]], axis=1))
+    for shape in ((DESK.w, 5), (DESK.w, 0), (DESK.w + 1, 4), (DESK.w * 4,)):
+        with pytest.raises(ValueError):
+            lwe_invert(trap, np.zeros(shape, dtype=np.int64))
+
+
 def _decode_digit_block_reference(block: list[int], q: int, d: int) -> tuple[int, bool]:
     """One block at a time in Python ints: the loop the array decode replaced."""
     half = q // 2
@@ -321,6 +348,50 @@ def test_modswitch_bound_is_active():
     down_err = any(abs(int(v) * c / c_prime - round(int(v) * c / c_prime)) > 0 and
                    round(int(v) * c / c_prime) != int(v) for v in a.ravel())
     assert down_err or (up != a.ravel()).any()
+
+
+# ---------------------------------------------------------------------------
+# exact products
+
+
+def _product_reference(a, b):
+    return np.asarray(a).astype(object) @ np.asarray(b).astype(object)
+
+
+@pytest.mark.parametrize("a_bits,b_bits,inner", [
+    (8, 30, 124), (3, 30, 4), (30, 30, 4), (20, 33, 124), (40, 40, 16)])
+def test_exact_matmul_matches_object_reference(a_bits, b_bits, inner):
+    # float64, int64 and object tiers, signed entries, reduced mod q as chain walks do
+    rng = named_stream(17, "matmul", a_bits, b_bits, inner)
+    q = find_q(31, 30)
+    for _ in range(20):
+        a = rng.integers(-(1 << a_bits), 1 << a_bits, size=(9, inner), dtype=np.int64)
+        b = rng.integers(-(1 << b_bits), 1 << b_bits, size=(inner, 7), dtype=np.int64)
+        want = _product_reference(a, b)
+        assert (exact_matmul(a, b) == want).all()
+        assert (matmul_mod(a, b, q) == np.mod(want, q)).all()
+
+
+def test_exact_matmul_at_its_tier_bounds():
+    # max|a| * max|b| * inner just below and just above 2**53 and 2**62; a
+    # sum of 2**53 + 1 rounds in float64, and one of 2**63 wraps in int64
+    cases = [
+        ([[2**52 - 1, 1]], [[1], [1]]),                   # bound 2**53 - 2
+        ([[2**52, 1]], [[2], [1]]),                       # bound 2**54
+        ([[2**26, 1]], [[2**27 - 1], [2**26 + 1]]),       # bound 2**54 - 2**27, sum 2**53 + 1
+        ([[2**30 - 1] * 4], [[2**30 - 1]] * 4),           # bound just below 2**62
+        ([[2**31, 2**31]], [[2**31], [2**31]]),           # bound 2**63
+        ([[2**61, -2**61]], [[2], [-2]]),                 # bound 2**64
+        ([[-2**63, 0]], [[-1], [0]]),                     # |-2**63| wraps in np.abs
+    ]
+    for a, b in cases:
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        want = _product_reference(a, b)
+        got = exact_matmul(a, b)
+        assert (got == want).all(), (a, b, got, want)
+        assert (matmul_mod(a, b, 2**61 - 1) == np.mod(want, 2**61 - 1)).all()
+    assert exact_matmul(np.array([[2**52, 1]]), np.array([[2], [1]]))[0, 0] == 2**53 + 1
+    assert exact_matmul(np.array([[2**31, 2**31]]), np.array([[2**31], [2**31]]))[0, 0] == 2**63
 
 
 def test_centered():

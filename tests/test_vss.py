@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from veilshare.lattice import LweParams, find_q
+from veilshare.lattice import LweParams, det_int, find_q, lwe_invert, matmul_mod
 from veilshare.rng import named_stream
+from veilshare.sim import _corrupt_bundle
 from veilshare.vss import (
     HeaderUnavailableError,
     Secret,
@@ -14,6 +15,7 @@ from veilshare.vss import (
     UnauthorizedError,
     VssError,
     VssParams,
+    _opened_chains,
     deal,
     max_share_size,
     reconstruct,
@@ -182,12 +184,71 @@ def test_verdict_determinism_under_corruption():
     assert v1 == v2
 
 
+def _suffix_det_reference(shares, order, j, trap, check):
+    """det mod p decoded from D_last ... D_j A_j, walked for this suffix alone."""
+    q = trap.params.q
+    x = shares[order[j]].a_matrix % q
+    for party in order[j:]:
+        x = np.asarray(matmul_mod(shares[party].d_matrix, x, q), dtype=np.int64)
+    m_mat, _ = lwe_invert(trap, x, check=check)
+    return det_int(m_mat) % trap.params.p
+
+
+def _verdicts_reference(bundles, secret):
+    """verify_shares with one chain walk and one inversion per suffix."""
+    verdicts = {b.party: 1 for b in bundles}
+    for shares, header, trap in _opened_chains(bundles):
+        if header is None:
+            continue
+        order, exps = header["order"], header["exponents"]
+        above = 1
+        for j in range(len(order) - 1, -1, -1):
+            det_j = _suffix_det_reference(shares, order, j, trap, check=False)
+            if det_j != above * pow(secret.k, exps[j], secret.p) % secret.p:
+                verdicts[order[j]] = 0
+            above = det_j
+    return verdicts
+
+
+def test_stacked_chain_walk_matches_the_per_suffix_reference():
+    cases = [([(1, 2, 3)], 5, 4100), ([(1, 2, 3)], 5, 4101),
+             ([(1, 2, 3), (2, 4, 5), (1, 6)], 6, 4102)]
+    for gamma0, parties, seed in cases:
+        bundles = deal(SECRET, gamma0, parties, PARAMS, seed=seed)
+        assert verify_shares(bundles, SECRET) == _verdicts_reference(bundles, SECRET)
+        for _, header, _ in _opened_chains(bundles):
+            for party in header["order"]:
+                for mode in ("encoding", "bitflip"):
+                    rng = named_stream(seed, "forge", mode, party)
+                    bad = [_corrupt_bundle(b, mode, rng) if b.party == party else b
+                           for b in bundles]
+                    assert verify_shares(bad, SECRET) == _verdicts_reference(bad, SECRET), \
+                        (seed, mode, party)
+
+
+def test_forged_middle_a_leaves_reconstruction_intact():
+    # reconstruct decodes D_last ... D_0 A_0 alone, which never meets the
+    # middle member's A, so only verification sees that forgery
+    bundles = deal(SECRET, [(1, 2, 3)], 3, PARAMS, seed=4103)
+    [(_, header, _)] = _opened_chains(bundles)
+    middle = header["order"][1]
+    rng = named_stream(4103, "forge-a")
+    bad = []
+    for b in bundles:
+        if b.party == middle:
+            inst = b.instances[0]
+            fake = rng.integers(0, PARAMS.lwe.q, size=inst.a_matrix.shape, dtype=np.int64)
+            b = ShareBundle(b.party, b.params, [dataclasses.replace(inst, a_matrix=fake)])
+        bad.append(b)
+    assert reconstruct(bad) == SECRET
+    verdicts = verify_shares(bad, SECRET)
+    assert verdicts == _verdicts_reference(bad, SECRET)
+    assert verdicts[middle] == 0
+
+
 def test_exponent_telescoping_and_error_growth():
     # exact recovery across chain lengths, with growing q for longer chains;
     # the accumulated error stays finite and grows with the chain
-    from veilshare.lattice import lwe_invert, matmul_mod
-    from veilshare.vss import _opened_chains
-
     norms = {}
     for omega, bits in [((1, 2), 30), ((1, 2, 3), 30), ((1, 2, 3, 4), 40)]:
         params = VssParams(LweParams(n=4, p=31, q=find_q(31, bits),
