@@ -346,18 +346,19 @@ def sample_gadget_cosets(rng: np.random.Generator, q: int, d: int, sigma_z: floa
 # trapdoors
 
 
+def gadget_matrix(n: int, d: int) -> np.ndarray:
+    """G (n*d x n) with G[i*d + j, i] = 2^j."""
+    g = np.zeros((n * d, n), dtype=np.int64)
+    for i in range(n):
+        g[i * d: (i + 1) * d, i] = gadget_powers(d)
+    return g
+
+
 @dataclass
 class TrapdoorMatrix:
     params: LweParams
     A: np.ndarray          # (w, n) mod q
     R: np.ndarray          # (n*d, w_bar), small
-
-    def gadget_block(self) -> np.ndarray:
-        n, d = self.params.n, self.params.d
-        g = np.zeros((n * d, n), dtype=np.int64)
-        for i in range(n):
-            g[i * d: (i + 1) * d, i] = gadget_powers(d)
-        return g
 
     def relation_residual(self) -> np.ndarray:
         """([R | I] A - G) mod q; all zero for a well-formed trapdoor."""
@@ -365,7 +366,19 @@ class TrapdoorMatrix:
         wb = self.params.w_bar
         left = matmul_mod(self.R, self.A[:wb], q)
         combined = np.mod(left + self.A[wb:], q)
-        return np.mod(combined - self.gadget_block(), q)
+        return np.mod(combined - gadget_matrix(self.params.n, self.params.d), q)
+
+
+def planted_trapdoor(params: LweParams, a_bar: np.ndarray, r: np.ndarray) -> TrapdoorMatrix:
+    """The trapdoor R plants under A_bar: A = [A_bar; G - R A_bar mod q].
+
+    Raises ValueError unless A_bar is (w_bar x n) and R is (n*d x w_bar).
+    """
+    n, q, d, wb = params.n, params.q, params.d, params.w_bar
+    if np.shape(a_bar) != (wb, n) or np.shape(r) != (n * d, wb):
+        raise ValueError(f"expected A_bar of shape {(wb, n)} and R of shape {(n * d, wb)}")
+    lower = np.mod(gadget_matrix(n, d) - matmul_mod(r, a_bar, q), q)
+    return TrapdoorMatrix(params, np.concatenate([a_bar, lower]).astype(np.int64), r)
 
 
 def trapdoor_gen(params: LweParams,
@@ -376,9 +389,7 @@ def trapdoor_gen(params: LweParams,
     n, q, d = params.n, params.q, params.d
     a_bar = rng.integers(0, q, size=(params.w_bar, n), dtype=np.int64)
     r = sample_dgauss(rng, params.s, (n * d, params.w_bar))
-    trap = TrapdoorMatrix(params, np.zeros((params.w, n), dtype=np.int64), r)
-    lower = np.mod(trap.gadget_block() - matmul_mod(r, a_bar, q), q)
-    trap.A = np.concatenate([a_bar, lower]).astype(np.int64)
+    trap = planted_trapdoor(params, a_bar, r)
     if trap.relation_residual().any():
         raise RuntimeError("gadget relation failed to hold")
     return trap

@@ -1,19 +1,28 @@
 """Canonical, self-describing serialization.
 
-Documents are JSON objects {"schema": <kind>, "version": 4, "payload": ...}
+Documents are JSON objects {"schema": <kind>, "version": 5, "payload": ...}
 rendered with sorted keys and no whitespace, so a fixed input always
 produces the same bytes.  Integers are arbitrary precision; floats are
 refused outright to keep byte output platform independent.  Documents of
 any other version, and objects that repeat a key, are refused.
 
-Binary fields are canonical base64 text.  A matrix document is
-{"rows", "cols", "bits", "b64"}: its int64 entries, row-major, each
-written as a `bits`-wide two's-complement field, packed least significant
-bit first into bytes, and base64 encoded; the unused bits of the last
-byte are zero.  `bits` is the fewest that hold every entry, so it is a
-function of the data and a fixed input still gives fixed bytes.  The
-loader refuses any document that would not serialize back to the same
-bytes.
+Binary fields are canonical base64 text, and a matrix is written in one
+of two forms, both row-major and packed least significant bit first with
+zero bits filling the last byte.
+
+* A matrix document {"rows", "cols", "bits", "b64"} writes each int64
+  entry as a `bits`-wide two's-complement field.  `bits` is the fewest
+  that hold every entry.
+* A Rice document {"rows", "cols", "k", "b64"} (Golomb-Rice with divisor
+  2^k, as in Falcon's signature compression) writes small signed entries
+  in two runs: first one (1 + k)-bit field per entry, a sign bit and then
+  the k low bits of |v|; then each high part |v| >> k in unary, as that
+  many zeros and a one.  Magnitudes lie below 2^31, so k lies in [0, 30],
+  and k is the smallest of least coded length.  Zero carries no sign.
+
+Every width, k and sign is thus a function of the data, so a fixed input
+still gives fixed bytes, and the loaders refuse any document that would
+not serialize back to the same bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ import json
 
 import numpy as np
 
-VERSION = 4
+VERSION = 5
+RICE_BITS = 31                   # Rice-coded magnitudes lie below 2**RICE_BITS
 
 KNOWN_SCHEMAS = {
     "set-system",
@@ -113,7 +123,8 @@ def _signed_width(arr: np.ndarray) -> int:
     return magnitude.bit_length() + 1
 
 
-def matrix_doc(mat) -> dict:
+def _flat_entries(mat) -> tuple[tuple[int, int], np.ndarray]:
+    """Shape and row-major little-endian int64 entries of a 2-d matrix."""
     arr = np.asarray(mat)
     if arr.ndim != 2:
         raise SerializationError("a matrix document holds a 2-d array")
@@ -121,41 +132,134 @@ def matrix_doc(mat) -> dict:
         flat = np.ascontiguousarray(arr, dtype="<i8").reshape(-1)
     except OverflowError as exc:
         raise SerializationError("matrix entry does not fit 64 bits") from exc
+    return (int(arr.shape[0]), int(arr.shape[1])), flat
+
+
+def matrix_doc(mat) -> dict:
+    (rows, cols), flat = _flat_entries(mat)
     bits = _signed_width(flat)
     planes = np.unpackbits(flat.view(np.uint8).reshape(-1, 8), axis=1, count=bits,
                            bitorder="little")
     packed = np.packbits(planes, bitorder="little")
-    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "bits": bits,
-            "b64": to_b64(packed.tobytes())}
+    return {"rows": rows, "cols": cols, "bits": bits, "b64": to_b64(packed.tobytes())}
+
+
+def _reshape(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    try:
+        return flat.reshape(rows, cols)
+    except ValueError as exc:                   # an empty matrix of absurd shape
+        raise SerializationError(f"matrix shape is out of range: {exc}") from exc
+
+
+def _doc_ints(doc, fields: tuple[str, ...]) -> tuple[int, ...]:
+    """The integer fields of a binary matrix document, which holds them and b64 only."""
+    if not isinstance(doc, dict) or doc.keys() != {*fields, "b64"}:
+        raise SerializationError(
+            f"a matrix document is exactly {', '.join(fields)} and b64")
+    values = tuple(doc[f] for f in fields)
+    if any(type(v) is not int for v in values):
+        raise SerializationError(
+            f"matrix {', '.join(fields[:-1])} and {fields[-1]} must be integers")
+    if values[0] < 0 or values[1] < 0:
+        raise SerializationError("matrix shape must be nonnegative")
+    return values
 
 
 def doc_matrix(doc: dict) -> np.ndarray:
-    if not isinstance(doc, dict) or doc.keys() != {"rows", "cols", "bits", "b64"}:
-        raise SerializationError("a matrix document is exactly rows, cols, bits and b64")
-    rows, cols, bits, text = doc["rows"], doc["cols"], doc["bits"], doc["b64"]
-    if any(type(v) is not int for v in (rows, cols, bits)):
-        raise SerializationError("matrix rows, cols and bits must be integers")
-    if rows < 0 or cols < 0:
-        raise SerializationError("matrix shape must be nonnegative")
+    rows, cols, bits = _doc_ints(doc, ("rows", "cols", "bits"))
     if not 1 <= bits <= 64:
         raise SerializationError(f"matrix bits must lie in [1, 64], not {bits}")
-    data = from_b64(text)
+    data = from_b64(doc["b64"])
     count = rows * cols
     if len(data) != -(-count * bits // 8):
         raise SerializationError("matrix length does not match its shape")
     stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     if stream[count * bits:].any():
         raise SerializationError("matrix pad bits must be zero")
-    planes = np.empty((count, 64), dtype=np.uint8)
-    planes[:, :bits] = stream[: count * bits].reshape(count, bits)
-    planes[:, bits:] = planes[:, bits - 1: bits]          # sign extension
-    flat = np.packbits(planes, axis=1, bitorder="little").view("<i8").reshape(-1)
+    fields = stream[: count * bits].reshape(count, bits)
+    # two's complement: bit j weighs 2^j and the sign bit -2^(bits-1); every
+    # partial sum is an integer below 2^53 in magnitude while bits <= 53
+    weights = [1 << j for j in range(bits - 1)] + [-(1 << (bits - 1))]
+    if bits <= 53:
+        flat = (fields @ np.array(weights, dtype=np.float64)).astype(np.int64)
+    else:
+        flat = np.array(fields.astype(object) @ np.array(weights, dtype=object),
+                        dtype=np.int64)
     if _signed_width(flat) != bits:
         raise SerializationError("matrix bits is not the minimal width of its data")
-    try:
-        return flat.astype(np.int64, copy=False).reshape(rows, cols)
-    except ValueError as exc:                   # an empty matrix of absurd shape
-        raise SerializationError(f"matrix shape is out of range: {exc}") from exc
+    return _reshape(flat, rows, cols)
+
+
+def _rice_k(magnitudes: np.ndarray) -> int:
+    """Smallest k of least Rice-coded length for these magnitudes.
+
+    The length count * (k + 2) + sum(m >> k) is convex in k, so the first
+    k whose successor is no shorter is the minimum.
+    """
+    count = magnitudes.size
+    k, high = 0, int(magnitudes.sum())
+    while k + 1 < RICE_BITS:
+        nxt = int((magnitudes >> (k + 1)).sum())
+        if count + nxt >= high:
+            break
+        k, high = k + 1, nxt
+    return k
+
+
+def rice_doc(mat) -> dict:
+    """Rice document of an integer matrix whose entries lie within +-(2^31 - 1)."""
+    (rows, cols), flat = _flat_entries(mat)
+    limit = 1 << RICE_BITS
+    if flat.size and not -limit < int(flat.min()) <= int(flat.max()) < limit:
+        raise SerializationError(f"Rice-coded entries must lie within +-(2**{RICE_BITS} - 1)")
+    magnitudes = np.abs(flat)
+    k = _rice_k(magnitudes)
+    fixed = np.empty((flat.size, k + 1), dtype=np.uint8)
+    fixed[:, 0] = flat < 0
+    for j in range(k):                          # one pass per bit plane
+        fixed[:, j + 1] = (magnitudes >> j) & 1
+    high = magnitudes >> k
+    unary = np.zeros(int(high.sum()) + flat.size, dtype=np.uint8)
+    unary[np.cumsum(high + 1) - 1] = 1
+    packed = np.packbits(np.concatenate([fixed.reshape(-1), unary]), bitorder="little")
+    return {"rows": rows, "cols": cols, "k": k, "b64": to_b64(packed.tobytes())}
+
+
+def doc_rice(doc: dict) -> np.ndarray:
+    """Matrix of a Rice document; anything rice_doc would not write is refused."""
+    rows, cols, k = _doc_ints(doc, ("rows", "cols", "k"))
+    if not 0 <= k < RICE_BITS:
+        raise SerializationError(f"Rice k must lie in [0, {RICE_BITS - 1}], not {k}")
+    data = from_b64(doc["b64"])
+    count = rows * cols
+    fixed_bits = count * (k + 1)
+    if fixed_bits + count > 8 * len(data):     # before allocating anything per entry
+        raise SerializationError("coded matrix holds fewer codes than its shape")
+    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    ones = np.flatnonzero(stream[fixed_bits:].view(bool))    # bool: numpy's fast path
+    if ones.size < count:
+        raise SerializationError("coded matrix holds fewer codes than its shape")
+    if ones.size > count:
+        raise SerializationError(
+            "coded matrix holds more codes than its shape, or nonzero pad bits")
+    end = fixed_bits + (int(ones[-1]) + 1 if count else 0)
+    if len(data) != -(-end // 8):
+        raise SerializationError("coded matrix has bytes after its last code")
+    high = np.diff(ones, prepend=-1) - 1
+    if int(high.max(initial=0)) >> (RICE_BITS - k):
+        raise SerializationError(
+            f"coded matrix has a unary part of 2**{RICE_BITS - k} or more zeros: "
+            f"magnitudes lie below 2**{RICE_BITS}")
+    fields = stream[:fixed_bits].reshape(count, k + 1)
+    magnitudes = high << k
+    for j in range(k):
+        magnitudes |= fields[:, j + 1].astype(np.int64) << j
+    sign = fields[:, 0].astype(np.int64)
+    if (sign & (magnitudes == 0)).any():
+        raise SerializationError("coded matrix holds a negative zero")
+    if _rice_k(magnitudes) != k:
+        raise SerializationError("Rice k is not the minimal one for its data")
+    return _reshape(magnitudes * (1 - 2 * sign), rows, cols)
 
 
 def set_system_doc(system) -> dict:

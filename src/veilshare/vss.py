@@ -21,10 +21,15 @@ carrying the chain order, the exponents and the terminal trapdoor is
 encrypted under a key derived from gamma(H) and K2, the XOR of the Omega
 members' key shares; every party holds one uniform key share per
 instance, so no coalition without all of Omega holds K2, and a coalition
-that has them finds K2 among the XORs of its shares' subsets.  Parties outside
-the chain receive decoy matrices and encodings drawn from the same
-marginal distributions, and serialize_bundles pads every serialized
-bundle to one byte length.
+that has them finds K2 among the XORs of its shares' subsets.  The
+header carries the terminal trapdoor as R and the uniform top block
+A_bar (w_bar x n) of A_term; the reader rebuilds A_term = [A_bar;
+G - R A_bar mod q] with lattice.planted_trapdoor, which trapdoor_gen
+builds every trapdoor with.  Parties outside the chain receive decoy
+matrices and encodings drawn from the same marginal distributions, and
+serialize_bundles pads every serialized bundle to one byte length.  A
+share writes its A at a fixed width and its encoding D Rice coded
+(serial.rice_doc), since D's entries are small and mostly near zero.
 
 Verification is communication free and runs after reconstruction: for
 each chain position j the suffix product D_last ... D_j A_j is inverted
@@ -55,6 +60,7 @@ from .lattice import (
     lwe_invert,
     matmul_mod,
     matrix_power_mod,
+    planted_trapdoor,
     sample_dgauss,
     sample_preimage_batch,
     sample_prim_secret,
@@ -147,7 +153,7 @@ class InstanceShare:
             "instance_id": self.instance_id,
             "token": sorted(self.token),
             "a": serial.matrix_doc(self.a_matrix),
-            "d": serial.matrix_doc(self.d_matrix),
+            "d": serial.rice_doc(self.d_matrix),
             "header_ct": serial.to_b64(self.header_ct),
             "key_share": serial.to_b64(self.key_share),
         }
@@ -174,7 +180,7 @@ class InstanceShare:
             raise serial.SerializationError(f"key_share must be {KEY_SHARE_BYTES} bytes")
         return cls(instance_id=instance_id, token=frozenset(token),
                    a_matrix=serial.doc_matrix(doc["a"]),
-                   d_matrix=serial.doc_matrix(doc["d"]),
+                   d_matrix=serial.doc_rice(doc["d"]),
                    header_ct=serial.from_b64(doc["header_ct"]), key_share=key_share)
 
 
@@ -371,7 +377,7 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
         header_payload = {
             "order": order,
             "exponents": exps,
-            "a_term": serial.matrix_doc(chain[-1].A),
+            "a_bar": serial.matrix_doc(chain[-1].A[: lwe.w_bar]),
             "r_term": serial.matrix_doc(chain[-1].R),
         }
         header_bytes = serial.serialize("reconstruction", header_payload)
@@ -440,8 +446,8 @@ def _opened_chains(bundles: list[ShareBundle]):
         if not set(header["order"]) <= shares.keys():
             yield shares, None, None
             continue
-        trap = TrapdoorMatrix(params.lwe, serial.doc_matrix(header["a_term"]),
-                              serial.doc_matrix(header["r_term"]))
+        trap = planted_trapdoor(params.lwe, serial.doc_matrix(header["a_bar"]),
+                                serial.doc_matrix(header["r_term"]))
         yield shares, header, trap
 
 

@@ -1,5 +1,7 @@
 import base64
+import dataclasses
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -13,8 +15,19 @@ from veilshare.cli import main
 from veilshare.numt import Modulus
 from veilshare.setsys import build_grolmusz_system, merge_systems
 from veilshare.sim import SimulationConfig, run_simulation
-from veilshare.tokens import token_id_bound
-from veilshare.vss import VssParams
+from veilshare.tokens import combine_tokens, token_id_bound
+from veilshare.vss import (
+    Secret,
+    ShareBundle,
+    VssError,
+    VssParams,
+    _subset_xors,
+    deal,
+    header_keys,
+    open_header,
+    seal_header,
+    serialize_bundles,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +36,7 @@ from veilshare.vss import VssParams
 
 def test_empty_report_fixed_bytes():
     blob = serial.serialize("empty-report", {})
-    assert blob == b'{"payload":{},"schema":"empty-report","version":4}\n'
+    assert blob == b'{"payload":{},"schema":"empty-report","version":5}\n'
     assert serial.deserialize(blob, "empty-report") == {}
 
 
@@ -49,6 +62,11 @@ def test_version_and_schema_mismatch():
     doc["version"] = 9
     with pytest.raises(serial.SerializationError):
         serial.deserialize(json.dumps(doc).encode())
+    # every version-4 document is refused, whatever its kind
+    for kind in ("share-bundle", "token-instance", "set-system"):
+        old = json.dumps({"schema": kind, "version": 4, "payload": {}}).encode()
+        with pytest.raises(serial.SerializationError, match="unsupported version 4"):
+            serial.deserialize(old, kind)
     with pytest.raises(serial.SerializationError):
         serial.serialize("no-such-kind", {})
     with pytest.raises(serial.SerializationError):
@@ -91,12 +109,16 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode()
 
 
-def packed_by_loop(mat, bits: int) -> str:
-    """Reference packing: each entry's low `bits` bits, least significant first."""
-    stream = "".join(format(int(v) & ((1 << bits) - 1), f"0{bits}b")[::-1]
-                     for v in np.asarray(mat).flat)
+def stream_b64(stream: str) -> str:
+    """A string of bits, first bit lowest, zero-padded to whole bytes and base64 encoded."""
     stream += "0" * (-len(stream) % 8)
     return _b64(bytes(int(stream[i: i + 8][::-1], 2) for i in range(0, len(stream), 8)))
+
+
+def packed_by_loop(mat, bits: int) -> str:
+    """Reference packing: each entry's low `bits` bits, least significant first."""
+    return stream_b64("".join(format(int(v) & ((1 << bits) - 1), f"0{bits}b")[::-1]
+                              for v in np.asarray(mat).flat))
 
 
 def signed_width_by_loop(mat) -> int:
@@ -168,6 +190,103 @@ def test_matrix_doc_unpacks_only_the_planes_it_writes():
         tracemalloc.stop()
     assert doc["bits"] == 9
     assert peak < 32 * d.size, f"{peak / d.size:.1f} B per entry"
+
+
+def test_matrix_doc_roundtrip_every_width():
+    for width in range(1, 65):
+        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        for mat in (np.array([[lo, -1], [0, hi]]), np.array([[hi, 0, hi]]),
+                    np.array([[lo]])):
+            doc = serial.matrix_doc(mat)
+            assert doc["bits"] == signed_width_by_loop(mat), (width, mat)
+            assert doc["b64"] == packed_by_loop(mat, doc["bits"]), (width, mat)
+            back = serial.doc_matrix(doc)
+            assert back.dtype == np.int64 and (back == mat).all(), (width, mat)
+    for shape in ((0, 0), (0, 3), (5, 0)):
+        doc = serial.matrix_doc(np.zeros(shape, dtype=np.int64))
+        assert doc == {"rows": shape[0], "cols": shape[1], "bits": 1, "b64": ""}
+        assert serial.doc_matrix(doc).shape == shape
+
+
+def rice_by_loop(values, k: int) -> str:
+    """Reference Rice code, as bits: every (sign, k low bits) field, then every unary part."""
+    fixed = "".join(str(int(v < 0)) + "".join(str(abs(v) >> j & 1) for j in range(k))
+                    for v in values)
+    return fixed + "".join("0" * (abs(v) >> k) + "1" for v in values)
+
+
+def rice_k_by_scan(values) -> int:
+    """The smallest k of least coded length, over every k the format allows."""
+    lengths = [sum(k + 2 + (abs(v) >> k) for v in values) for k in range(serial.RICE_BITS)]
+    return lengths.index(min(lengths))
+
+
+RICE = np.array([[1, -2], [0, 5]])
+RICE_DOC = serial.rice_doc(RICE)
+
+
+def test_rice_doc_layout():
+    # |v| = 1, 2, 0, 5 costs 16 bits at k = 0, 15 at k = 1 and 17 at k = 2.
+    # Fields (sign, low bit): 01 10 00 01; unary of 0, 1, 0, 2: 1 01 1 001.
+    assert RICE_DOC == {"rows": 2, "cols": 2, "k": 1,
+                        "b64": stream_b64("01100001" "1011001")}
+    assert (serial.doc_rice(RICE_DOC) == RICE).all()
+    for shape in ((0, 0), (0, 3), (5, 0)):
+        doc = serial.rice_doc(np.zeros(shape, dtype=np.int64))
+        assert doc == {"rows": shape[0], "cols": shape[1], "k": 0, "b64": ""}
+        assert serial.doc_rice(doc).shape == shape
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 30),
+       st.integers(0, 2**32 - 1))
+def test_rice_doc_roundtrip(rows, cols, scale, seed):
+    rng = np.random.default_rng(seed)
+    limit = (1 << serial.RICE_BITS) - 1
+    mat = np.clip(np.round(rng.normal(0, 2.0**scale, size=(rows, cols))),
+                  -limit, limit).astype(np.int64)
+    if mat.size:
+        mat.flat[seed % mat.size] = limit if seed & 1 else -limit
+    values = [int(v) for v in mat.flat]
+    doc = serial.rice_doc(mat)
+    assert doc["k"] == rice_k_by_scan(values)
+    assert doc["b64"] == stream_b64(rice_by_loop(values, doc["k"]))
+    back = serial.doc_rice(doc)
+    assert back.dtype == np.int64 and back.shape == (rows, cols)
+    assert (back == mat).all()
+    assert serial.rice_doc(back) == doc
+
+
+def test_rice_doc_write_range():
+    limit = 1 << serial.RICE_BITS
+    serial.rice_doc(np.array([[1 - limit, limit - 1]]))
+    for value in (limit, -limit, 2**63 - 1, -(2**63)):
+        with pytest.raises(serial.SerializationError):
+            serial.rice_doc(np.array([[value]]))
+
+
+RICE_VALUES = [int(v) for v in RICE.flat]
+RICE_BITS_STR = rice_by_loop(RICE_VALUES, 1)
+# the canonical-code cases on a dealt D are in test_cli_hostile_coded_d_exits_2
+HOSTILE_RICE_DOCS = {                   # name: (fields changed, reason refused)
+    "bits instead of k": ({"k": None, "bits": 1}, "exactly rows, cols, k and b64"),
+    "k=True": ({"k": True}, "must be integers"),
+    "k=1.0": ({"k": 1.0}, "must be integers"),
+    "k=2**70": ({"k": 2**70}, "k must lie in [0, 30]"),
+    "nonzero pad bit": ({"b64": stream_b64(RICE_BITS_STR + "1")}, "nonzero pad bits"),
+    "unterminated unary": ({"b64": stream_b64(RICE_BITS_STR[:-1])}, "fewer codes"),
+    "overlong unary": ({"rows": 1, "cols": 1, "k": 30,
+                        "b64": stream_b64("0" * 31 + "001")}, "unary part of 2**1"),
+    "absurd shape": ({"rows": 10**30, "cols": 10**30}, "fewer codes"),
+    "absurd empty shape": ({"rows": 10**30, "cols": 0, "k": 0, "b64": ""}, "out of range"),
+}
+
+
+@pytest.mark.parametrize("change, reason", HOSTILE_RICE_DOCS.values(), ids=HOSTILE_RICE_DOCS)
+def test_rice_doc_hostile(change, reason):
+    doc = {k: v for k, v in {**RICE_DOC, **change}.items() if v is not None}
+    with pytest.raises(serial.SerializationError, match=re.escape(reason)):
+        serial.doc_rice(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +591,7 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
 
     # a chain member's encoding with one row removed, at every chain position
     def drop_row(inst):
-        inst["d"] = serial.matrix_doc(serial.doc_matrix(inst["d"])[:-1])
+        inst["d"] = serial.rice_doc(serial.doc_rice(inst["d"])[:-1])
     for victim in range(3):
         shares = [rewritten(f, drop_row) if i == victim else f
                   for i, f in enumerate(files[:3])]
@@ -589,11 +708,96 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         "outcome": "header-unavailable"}
 
     # shares of an earlier version are refused as such, not misread
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         doc = json.loads(Path(files[0]).read_bytes())
         doc["version"] = version
         bad.write_bytes(json.dumps(doc).encode())
         assert_invalid("reconstruct", "--shares", str(bad), reason="unsupported version")
+
+
+@pytest.fixture(scope="module")
+def coded_d_shares(tmp_path_factory):
+    """Shares 1-3 of a --seed 9 dealing with Omega = {1, 2, 3}; party 1 is a chain member."""
+    outdir = tmp_path_factory.mktemp("coded-d")
+    assert run_cli("--seed", "9", "--quiet", "deal", "--secret", "3",
+                   "--gamma0", "1,2,3", "--parties", "5", "--outdir", str(outdir)) == 0
+    return [outdir / f"share_{i:03d}.json" for i in (1, 2, 3)]
+
+
+def _negative_zero(values, k):
+    bits = rice_by_loop(values, k)
+    at = values.index(0) * (k + 1)
+    return {"b64": stream_b64(bits[:at] + "1" + bits[at + 1:])}
+
+
+def _overlong(values, k):
+    big = 20                                # 2**31 >> 20: a unary part of 2,048 zeros
+    return {"k": big, "b64": stream_b64(rice_by_loop([2**31, *values[1:]], big))}
+
+
+CODED_D_CASES = {                       # name: (rewrite of d's fields, reason refused)
+    "too few codes": (lambda v, k: {"b64": stream_b64(rice_by_loop(v[:-1], k))},
+                      "fewer codes"),
+    "too many codes": (lambda v, k: {"b64": stream_b64(rice_by_loop(v + [0], k))},
+                       "more codes"),
+    "nonzero pad bits": (lambda v, k: {"b64": stream_b64(rice_by_loop(v, k) + "1")},
+                         "nonzero pad bits"),
+    "byte after the last code": (
+        lambda v, k: {"b64": stream_b64(rice_by_loop(v, k) + "0" * 8)},
+        "bytes after its last code"),
+    "overlong unary": (_overlong, "unary part"),
+    "negative zero": (_negative_zero, "negative zero"),
+    "k not minimal": (lambda v, k: {"k": k + 1, "b64": stream_b64(rice_by_loop(v, k + 1))},
+                      "not the minimal"),
+    "k=31": (lambda v, k: {"k": serial.RICE_BITS}, "k must lie in"),
+    "k=-1": (lambda v, k: {"k": -1}, "k must lie in"),
+}
+
+
+@pytest.mark.parametrize("rewrite, reason", CODED_D_CASES.values(), ids=CODED_D_CASES)
+def test_cli_hostile_coded_d_exits_2(coded_d_shares, tmp_path, capsys, rewrite, reason):
+    payload = serial.deserialize(coded_d_shares[0].read_bytes(), "share-bundle")
+    d = payload["instances"][0]["d"]
+    d.update(rewrite([int(v) for v in serial.doc_rice(d).flat], d["k"]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"schema": "share-bundle", "version": serial.VERSION, "payload": payload}))
+    shares = ",".join(map(str, [bad, *coded_d_shares[1:]]))
+    for argv in (["reconstruct", "--shares", shares],
+                 ["verify", "--shares", shares, "--secret", "3"]):
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("invalid:") and reason in err, err
+
+
+def test_cli_header_matrices_of_wrong_shape_exit_2(tmp_path, capsys):
+    bundles = deal(Secret(3, 31), [(1, 2, 3)], 5, VssParams.desk(), seed=9)
+    members = [b.instances[0] for b in bundles[:3]]
+    inst_id, sealed = members[0].instance_id, members[0].header_ct
+    ids = combine_tokens([inst.token for inst in members])
+    for key in header_keys(ids, _subset_xors([inst.key_share for inst in members])):
+        try:
+            header = serial.deserialize(open_header([key], inst_id, sealed), "reconstruction")
+            break
+        except VssError:
+            continue
+    else:
+        pytest.fail("no key of the coalition opens the header")
+    for field in ("a_bar", "r_term"):
+        wrong = {**header, field: serial.matrix_doc(serial.doc_matrix(header[field])[:-1])}
+        resealed = seal_header(key, inst_id, serial.serialize("reconstruction", wrong))
+        files = []
+        for b in bundles[:3]:
+            inst = dataclasses.replace(b.instances[0], header_ct=resealed)
+            blob, = serialize_bundles([ShareBundle(b.party, b.params, [inst])])
+            files.append(tmp_path / f"share_{b.party}.json")
+            files[-1].write_bytes(blob)
+        shares = ",".join(map(str, files))
+        for argv in (["reconstruct", "--shares", shares],
+                     ["verify", "--shares", shares, "--secret", "3"]):
+            assert run_cli("--quiet", *argv) == 2
+            assert "shape" in capsys.readouterr().err
 
 
 def test_cli_instance_id_must_be_a_string(tmp_path, capsys):

@@ -22,6 +22,7 @@ from veilshare.lattice import (
     matrix_power_mod,
     modswitch_roundtrip,
     modswitch_window_ok,
+    planted_trapdoor,
     prim_acceptance_fraction,
     sample_dgauss,
     sample_dgauss_centered,
@@ -201,6 +202,16 @@ def trap():
 
 def test_gadget_relation_exact(trap):
     assert not trap.relation_residual().any()
+
+
+def test_planted_trapdoor_rebuilds_and_checks_shapes(trap):
+    wb = DESK.w_bar
+    rebuilt = planted_trapdoor(DESK, trap.A[:wb], trap.R)
+    assert (rebuilt.A == trap.A).all() and (rebuilt.R == trap.R).all()
+    for a_bar, r in ((trap.A[: wb - 1], trap.R), (trap.A[:wb, :-1], trap.R),
+                     (trap.A[:wb], trap.R[:-1]), (trap.A[:wb], trap.R[:, :-1])):
+        with pytest.raises(ValueError, match="shape"):
+            planted_trapdoor(DESK, a_bar, r)
 
 
 def test_invert_recovers_planted_secrets(trap):

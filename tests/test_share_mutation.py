@@ -21,8 +21,8 @@ VALUES = ["x", True, 2.5, None, [], [[[]]], 0, -1, 2**70]
 PARAM_FIELDS = ("n", "p", "q", "lam", "c_bound_milli")
 INSTANCE_LEAVES = [("instance_id",), ("token",), ("token", 0), ("header_ct",),
                    ("key_share",)] + [
-    (m, *rest) for m in ("a", "d")
-    for rest in [(), ("rows",), ("cols",), ("bits",), ("b64",)]]
+    (m, *rest) for m, width in (("a", "bits"), ("d", "k"))
+    for rest in [(), ("rows",), ("cols",), (width,), ("b64",)]]
 
 
 def cases():

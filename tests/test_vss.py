@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from veilshare import vss
 from veilshare.lattice import LweParams, det_int, find_q, lwe_invert, matmul_mod
 from veilshare.rng import named_stream
 from veilshare.sim import _corrupt_bundle
@@ -278,6 +279,25 @@ def test_entry_overflow_rejected():
     tiny = VssParams(LweParams(n=4, p=31, q=31 * 33))
     with pytest.raises(VssError):
         deal(SECRET, [(1, 2, 3, 4, 5)], 5, tiny, seed=5)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_reader_rebuilds_the_dealers_terminal_trapdoor(seed, monkeypatch):
+    made, original = [], vss.trapdoor_gen
+
+    def recording_trapdoor_gen(params, rng=None):
+        made.append(original(params, rng=rng))
+        return made[-1]
+
+    monkeypatch.setattr(vss, "trapdoor_gen", recording_trapdoor_gen)
+    bundles = deal(SECRET, [(1, 2, 3)], 5, PARAMS, seed=seed)
+    # the chain's 4 trapdoors come first, then the 2 decoys'; A_4 is terminal
+    assert len(made) == 6
+    dealer = made[3]
+    [(_, header, trap)] = list(_opened_chains(coalition(bundles, [1, 2, 3])))
+    assert header is not None and "a_term" not in header
+    assert (trap.A == dealer.A).all() and (trap.R == dealer.R).all()
+    assert not trap.relation_residual().any()
 
 
 def test_mixed_dealings_rejected(dealt):
