@@ -34,9 +34,12 @@ digit-lattice coset vector per secret coordinate with a randomized
 nearest-plane (Klein) walk over the standard gadget basis, then mapping
 through [R | I]^T.  Rejection against the norm caps keeps
 ||d||_inf < sigma*sqrt(lambda) as the dealer requires.  Every basis
-vector but the last (the bits of q) is 2 e_i - e_(i+1), so the walk
-updates two coordinates per plane, and each plane draws its integers by
-exact rejection from a tabulated discrete Gaussian proposal.
+vector but the last (the bits of q) is 2 e_i - e_(i+1), so a plane's
+centre is its share of the target bits, projected once for all planes,
+less two GSO terms: one from the bits of q and one from the next plane.
+Each plane draws its integers by exact rejection from a proposal chosen
+by the centre's fraction, one of 16 buckets whose envelope the target
+fills to about 98 %, looked up through a 256-bin guide table.
 
 Bookkeeping note on the matrix-secret view: an n x n secret is n
 column secrets against one public matrix, and insisting on a generator
@@ -220,29 +223,54 @@ def sample_dgauss(rng: np.random.Generator, sigma: float, size) -> np.ndarray:
     return out.reshape(size)
 
 
-PROPOSAL_WIDTH = 1.15      # proposal sigma over target sigma: about 83 % acceptance
+CENTRE_BUCKETS = 16        # proposal rows, one per 1/16 of the centre's fraction
+GUIDE_BINS = 256           # guide-table bins per row; a power of two keeps G * cdf exact
 
 
 # keyed by the plane width, which (q, d, sigma_z) fixes: d widths per profile
 @functools.lru_cache(maxsize=256)
-def _dgauss_table(sigma: float) -> tuple[np.ndarray, int, float, float]:
-    """Proposal CDF over offsets -half..half, plus the exponents a and b.
+def _dgauss_table(sigma: float):
+    """Per-bucket proposal tables for sample_dgauss_centered.
 
-    The proposal is a discrete Gaussian of width PROPOSAL_WIDTH * sigma
-    with offset 0 weighted twice, as the target is.  Beyond 10 proposal
-    widths both weights are below 2^-60 of the total.
+    Bucket j holds the fractions f in [-1/2 + j/16, -1/2 + (j + 1)/16].
+    Its proposal over offsets u = -half..half is the envelope
+    max_f rho_sigma(u - f) over the bucket, with offset 0 weighted twice
+    as the target is; beyond 10 sigma + 1 every weight is below 2^-70 of
+    the total.  Returns (cdf, guide, step, log_env, half, a):
+
+    - cdf (16, n): each row's CDF, last entry exactly 1;
+    - guide (16, 256): #{j : cdf_j <= g/256}, the offset index for every
+      uniform in bin g unless step marks a CDF step inside the bin;
+    - log_env (16, n): a * (distance from u to the bucket)^2, so the
+      acceptance ratio is exp(log_env - a (u - f)^2) <= 1;
+    - a = 1 / (2 sigma^2).
     """
-    tau = PROPOSAL_WIDTH * sigma
-    half = math.ceil(10 * tau)
-    offsets = np.arange(-half, half + 1)
-    b = 1.0 / (2 * tau * tau)
-    weights = np.exp(-b * offsets * offsets)
-    weights[half] *= 2
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    cdf[-1] = 1.0          # every uniform in [0, 1) lands on an offset
-    cdf.flags.writeable = False
-    return cdf, half, 1.0 / (2 * sigma * sigma), b
+    half = math.ceil(10 * sigma) + 1
+    offsets = np.arange(-half, half + 1, dtype=np.float64)
+    edges = -0.5 + np.arange(CENTRE_BUCKETS + 1) / CENTRE_BUCKETS
+    nearest = np.clip(offsets, edges[:-1, None], edges[1:, None])
+    a = 1.0 / (2 * sigma * sigma)
+    log_env = a * (offsets - nearest) ** 2
+    weights = np.exp(-log_env)
+    weights[:, half] *= 2
+    cdf = np.cumsum(weights, axis=1)
+    cdf /= cdf[:, -1:]
+    cdf[:, -1] = 1.0       # every uniform in [0, 1) lands on an offset
+    row = (GUIDE_BINS + 1) * np.arange(CENTRE_BUCKETS)[:, None]
+
+    def at_most(bins):          # per row, #{j : bins_j <= g} for every bin g
+        counts = np.bincount((bins.astype(np.intp) + row).ravel(),
+                             minlength=CENTRE_BUCKETS * (GUIDE_BINS + 1))
+        return counts.reshape(CENTRE_BUCKETS, -1).cumsum(axis=1)[:, :GUIDE_BINS]
+
+    # G cdf is exact since G is a power of two, so lo[g] = #{j : cdf_j <= g/G}
+    # and hi[g] = #{j : cdf_j < (g+1)/G}; bin g holds a step iff they differ
+    lo, hi = at_most(np.ceil(GUIDE_BINS * cdf)), at_most(np.floor(GUIDE_BINS * cdf))
+    guide = lo.astype(np.min_scalar_type(-offsets.size))
+    step = lo != hi
+    for arr in (cdf, guide, step, log_env):
+        arr.flags.writeable = False
+    return cdf, guide, step, log_env, half, a
 
 
 def sample_dgauss_centered(rng: np.random.Generator, sigma: float,
@@ -251,28 +279,37 @@ def sample_dgauss_centered(rng: np.random.Generator, sigma: float,
 
     x = r + u with r = floor(c + 0.5) has weight rho_sigma(x - c), doubled
     at x = r.  Each round draws one (proposal, acceptance) uniform pair per
-    pending entry: u comes from a tabulated proposal of width tau > sigma,
-    and is kept with probability exp(b u^2 - a (u - f)^2 - m(f)), where
-    f = c - r, a = 1/(2 sigma^2), b = 1/(2 tau^2) and m(f) = a b f^2/(a - b)
-    is the exponent's maximum over real u.  The ratio is exact.
+    pending entry: u comes from the proposal row of the bucket holding
+    f = c - r (see _dgauss_table), found through the guide table and, in a
+    bin that holds a CDF step, by comparing against the row, and is kept
+    with probability rho_sigma(u - f) / envelope(u).  The ratio is exact,
+    and about 98 % of proposals are kept at the desk widths.
     """
     if sigma <= 0.5:
         raise ValueError("sigma too small")
-    cdf, half, a, b = _dgauss_table(float(sigma))
+    cdf, guide, step, log_env, half, a = _dgauss_table(float(sigma))
     centers = np.asarray(centers, dtype=np.float64)
     flat = centers.ravel()
-    out = np.empty(flat.shape, dtype=np.int64)
-    todo = np.arange(flat.size)
     rounded = np.floor(flat + 0.5)
     frac = flat - rounded
-    log_max = a * b / (a - b) * frac * frac
+    # f can sit an ulp below -1/2 when c + 0.5 rounds up; truncation puts it in bucket 0
+    bucket = np.minimum(((frac + 0.5) * CENTRE_BUCKETS).astype(np.intp), CENTRE_BUCKETS - 1)
+    rounded = rounded.astype(np.int64)
+    out = np.empty(flat.shape, dtype=np.int64)
+    todo = np.arange(flat.size)
     while todo.size:
+        b, f = bucket.take(todo), frac.take(todo)
         draw = rng.random((todo.size, 2))
-        u = cdf.searchsorted(draw[:, 0], side="right") - half
-        out[todo] = rounded + u        # a rejected entry is overwritten next round
-        log_ratio = b * u * u - a * (u - frac) ** 2 - log_max
-        keep = draw[:, 1] >= np.exp(log_ratio)
-        todo, rounded, frac, log_max = todo[keep], rounded[keep], frac[keep], log_max[keep]
+        # take() reads the (bucket, bin) and (bucket, offset) tables flattened
+        cell = (draw[:, 0] * GUIDE_BINS).astype(np.intp) + b * GUIDE_BINS
+        idx = guide.take(cell).astype(np.intp)
+        stepped = np.flatnonzero(step.take(cell))
+        if stepped.size:
+            idx[stepped] = (cdf[b[stepped]] <= draw[stepped, :1]).sum(axis=1)
+        u = idx - half
+        out[todo] = rounded.take(todo) + u     # a rejected entry is overwritten next round
+        log_ratio = log_env.take(b * cdf.shape[1] + idx) - a * (u - f) ** 2
+        todo = todo[draw[:, 1] >= np.exp(log_ratio)]
     return out.reshape(centers.shape)
 
 
@@ -282,7 +319,8 @@ def sample_dgauss_centered(rng: np.random.Generator, sigma: float,
 
 @functools.lru_cache(maxsize=8)
 def _gadget_basis(q: int, d: int):
-    """Standard basis of {z in Z^d : <z, (1,2,...,2^(d-1))> = 0 mod q} plus its GSO."""
+    """Standard basis of {z in Z^d : <z, (1,2,...,2^(d-1))> = 0 mod q}, its GSO
+    (columns), their squared norms and the GSO coefficients mu."""
     basis = np.zeros((d, d), dtype=np.int64)
     for i in range(d - 1):
         basis[i, i] = 2
@@ -298,7 +336,10 @@ def _gadget_basis(q: int, d: int):
             v -= (bf[:, i] @ gso[:, j]) / norms2[j] * gso[:, j]
         gso[:, i] = v
         norms2[i] = v @ v
-    return basis, gso, norms2
+    # mu[j, i] = <b_j, gso_i> / |gso_i|^2; gso_i lies on coordinates 0..i+1,
+    # so above the diagonal only j = i + 1 and the bits of q, j = d - 1, meet it
+    mu = bf.T @ gso / norms2
+    return basis, gso, norms2, mu
 
 
 def gadget_powers(d: int) -> np.ndarray:
@@ -309,33 +350,34 @@ def sample_gadget_cosets(rng: np.random.Generator, q: int, d: int, sigma_z: floa
                          targets: np.ndarray) -> np.ndarray:
     """Klein sampling of z with <z, g> = target mod q, one row per target.
 
-    Starts from the binary decomposition of each target (an exact coset
+    Starts from the binary decomposition u0 of each target (an exact coset
     representative) and walks the gadget basis planes with randomized
     rounding, yielding short coset vectors of per-entry width ~ sigma_z.
-    The first plane, the bits of q, is dense; every later one moves only
-    coordinates i and i + 1.
+    Plane i's centre is y_i - sum_(j > i) mu[j, i] z_j with
+    y = -gso^T u0 / |gso|^2, and only two of those mu are nonzero: the
+    first plane, the bits of q, is dense and shifts every later centre
+    once; each later plane shifts only the next one.
     """
-    basis, gso, norms2 = _gadget_basis(q, d)
+    basis, gso, norms2, mu = _gadget_basis(q, d)
     targets = np.asarray(targets, dtype=np.int64) % q
     k = targets.shape[0]
-    # coordinate-major (d, k): the sparse updates touch two contiguous rows
-    u0 = (targets >> np.arange(d, dtype=np.int64)[:, None]) & 1
-    remaining = -u0.astype(np.float64)
-    coeff = np.empty((d, k), dtype=np.int64)
-    q_bits = basis[:, d - 1]
-    for i in range(d - 1, -1, -1):
-        c = gso[:, i] @ remaining / norms2[i]
-        coeff[i] = sample_dgauss_centered(rng, sigma_z / math.sqrt(norms2[i]), c)
-        if i == d - 1:          # the bits of q: the one dense column
-            remaining -= q_bits[:, None] * coeff[i].astype(np.float64)
-        else:                   # 2 e_i - e_(i+1)
-            remaining[i] -= 2 * coeff[i]
-            remaining[i + 1] += coeff[i]
-    # z = u0 + basis @ coeff, column by column of the basis
-    zt = u0 + q_bits[:, None] * coeff[d - 1]
-    zt[: d - 1] += 2 * coeff[: d - 1]
-    zt[1:] -= coeff[: d - 1]
-    z = np.ascontiguousarray(zt.T)
+    # target-major (k, d) throughout, so z is built in place and no plane
+    # allocates a (k, d) temporary
+    u0 = np.unpackbits(targets.astype("<i8").view(np.uint8).reshape(k, 8), axis=1,
+                       count=d, bitorder="little")
+    centres = u0 @ (gso / -norms2)
+    widths = sigma_z / np.sqrt(norms2)
+    z = u0.astype(np.int64)     # u0 + basis @ coeff, one basis column per plane
+    dense = sample_dgauss_centered(rng, widths[d - 1], centres[:, d - 1])
+    for j in np.flatnonzero(basis[:, d - 1]):
+        z[:, j] += dense
+    for i in range(d - 2, -1, -1):
+        centre = centres[:, i] - mu[d - 1, i] * dense
+        if i < d - 2:           # b_(i+1) = 2 e_(i+1) - e_(i+2); b_(d-1) is the dense one
+            centre -= mu[i + 1, i] * below
+        below = sample_dgauss_centered(rng, widths[i], centre)
+        z[:, i] += 2 * below
+        z[:, i + 1] -= below
     check = (z @ gadget_powers(d)) % q
     if not (check == targets).all():
         raise RuntimeError("coset sampling lost the syndrome")

@@ -411,6 +411,25 @@ def serialize_bundles(bundles: list[ShareBundle]) -> list[bytes]:
 # reconstruction
 
 
+def _check_header(header) -> None:
+    """Refuse an opened header unless it holds exactly the fields deal writes.
+
+    Any authorized coalition holds the header key, so it can seal anything;
+    the header is input like a share file, not trusted dealer output.
+    """
+    fields = {"order", "exponents", "a_bar", "r_term"}
+    if not isinstance(header, dict) or header.keys() != fields:
+        raise serial.SerializationError(
+            f"header must be exactly the fields {', '.join(sorted(fields))}")
+    order, exps = header["order"], header["exponents"]
+    if not isinstance(order, list) or not order or any(type(v) is not int for v in order) \
+            or len(set(order)) != len(order):
+        raise serial.SerializationError("header order must be a nonempty list of distinct integers")
+    if not isinstance(exps, list) or len(exps) != len(order) \
+            or any(type(v) is not int for v in exps):
+        raise serial.SerializationError("header exponents must be one integer per chain member")
+
+
 def _opened_chains(bundles: list[ShareBundle]):
     """Token-test every dealt instance; open the header of each certified one.
 
@@ -421,7 +440,8 @@ def _opened_chains(bundles: list[ShareBundle]):
     instance whose tokens certify the coalition, with header and trapdoor
     None when the header fails to authenticate or its chain order names a
     party outside the coalition.  Bundles must come from one dealing and
-    name distinct parties.
+    name distinct parties.  A header that opens but does not hold exactly
+    the fields deal writes raises SerializationError (_check_header).
     """
     if len({b.party for b in bundles}) != len(bundles):
         raise VssError("two shares name the same party")
@@ -443,6 +463,7 @@ def _opened_chains(bundles: list[ShareBundle]):
         except (VssError, serial.SerializationError):
             yield shares, None, None
             continue
+        _check_header(header)
         if not set(header["order"]) <= shares.keys():
             yield shares, None, None
             continue

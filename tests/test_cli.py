@@ -771,7 +771,11 @@ def test_cli_hostile_coded_d_exits_2(coded_d_shares, tmp_path, capsys, rewrite, 
         assert err.startswith("invalid:") and reason in err, err
 
 
-def test_cli_header_matrices_of_wrong_shape_exit_2(tmp_path, capsys):
+def resealed_share_files(tmp_path, edit):
+    """Shares 1-3 of a --seed 9 dealing whose header is opened, edited and re-sealed.
+
+    Any authorized coalition holds the header key, so it can do this.
+    """
     bundles = deal(Secret(3, 31), [(1, 2, 3)], 5, VssParams.desk(), seed=9)
     members = [b.instances[0] for b in bundles[:3]]
     inst_id, sealed = members[0].instance_id, members[0].header_ct
@@ -784,20 +788,41 @@ def test_cli_header_matrices_of_wrong_shape_exit_2(tmp_path, capsys):
             continue
     else:
         pytest.fail("no key of the coalition opens the header")
+    resealed = seal_header(key, inst_id, serial.serialize("reconstruction", edit(header)))
+    files = []
+    for b in bundles[:3]:
+        inst = dataclasses.replace(b.instances[0], header_ct=resealed)
+        blob, = serialize_bundles([ShareBundle(b.party, b.params, [inst])])
+        files.append(tmp_path / f"share_{b.party}.json")
+        files[-1].write_bytes(blob)
+    return ",".join(map(str, files))
+
+
+def test_cli_header_matrices_of_wrong_shape_exit_2(tmp_path, capsys):
     for field in ("a_bar", "r_term"):
-        wrong = {**header, field: serial.matrix_doc(serial.doc_matrix(header[field])[:-1])}
-        resealed = seal_header(key, inst_id, serial.serialize("reconstruction", wrong))
-        files = []
-        for b in bundles[:3]:
-            inst = dataclasses.replace(b.instances[0], header_ct=resealed)
-            blob, = serialize_bundles([ShareBundle(b.party, b.params, [inst])])
-            files.append(tmp_path / f"share_{b.party}.json")
-            files[-1].write_bytes(blob)
-        shares = ",".join(map(str, files))
+        shares = resealed_share_files(tmp_path, lambda header: {
+            **header, field: serial.matrix_doc(serial.doc_matrix(header[field])[:-1])})
         for argv in (["reconstruct", "--shares", shares],
                      ["verify", "--shares", shares, "--secret", "3"]):
             assert run_cli("--quiet", *argv) == 2
             assert "shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "a_bar"},
+    lambda h: {**h, "exponents": h["exponents"][:1]},
+    lambda h: {**h, "order": [h["order"][0], h["order"][0], h["order"][2]]},
+    lambda h: {**h, "exponents": [h["exponents"][0], "2", h["exponents"][2]]},
+    lambda h: {**h, "order": [True if v == 1 else v for v in h["order"]]},
+], ids=["missing-field", "short-exponents", "repeated-party", "str-exponent",
+        "bool-party"])
+def test_cli_malformed_opened_header_exits_2(tmp_path, capsys, edit):
+    shares = resealed_share_files(tmp_path, edit)
+    for argv in (["reconstruct", "--shares", shares],
+                 ["verify", "--shares", shares, "--secret", "3"]):
+        assert run_cli("--quiet", *argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and "invalid: header" in err
 
 
 def test_cli_instance_id_must_be_a_string(tmp_path, capsys):

@@ -30,7 +30,8 @@ from veilshare.lattice import (
     sample_prim_secret,
     trapdoor_gen,
 )
-from veilshare.lattice import _decode_digit_blocks
+from veilshare import lattice
+from veilshare.lattice import _decode_digit_blocks, _dgauss_table, _gadget_basis, _preimage_sigma_z
 
 DESK = LweParams(n=4, p=31, q=find_q(31, 23))
 
@@ -189,6 +190,112 @@ def test_dgauss_centered_matches_its_exact_weights(sigma):
         z = 4.753
         critical = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
         assert chi2 < critical, (c, chi2, critical)
+
+
+def chi2_critical(df: int) -> float:
+    """Wilson-Hilferty upper 1e-6 point of chi-square with df degrees."""
+    z = 4.753
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize("sigma", [1.21, 1.36, 1.57])
+def test_dgauss_centered_mixed_centres_in_one_call(sigma):
+    """One call over many centres, as the walk makes it, chi-squared per centre.
+
+    The centres cover every 1/16 bucket of f = c - floor(c + 0.5): its
+    edges -1/2 + j/16, the doubles just below them (below -1/2 that is
+    f just under 1/2), bucket midpoints, f = -1/2 itself, and |c| near
+    2^20.  Draws for one centre are interleaved with all the others.
+    """
+    draws = 20_000
+    edges = -0.5 + np.arange(16) / 16
+    centres = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), edges + 1 / 32,
+        [2.0**20 + 0.3, -(2.0**20) - 0.7, 2.0**20 - 0.5, np.nextafter(-(2.0**20) + 0.5, 0)],
+    ])
+    rng = named_stream(17, "dgauss-mixed", sigma)
+    x = sample_dgauss_centered(rng, sigma, np.tile(centres, draws)).reshape(draws, -1)
+    offsets = np.arange(-40, 41)
+    for col, c in enumerate(centres):
+        nearest = math.floor(c + 0.5)
+        weights = np.exp(-((nearest + offsets - c) ** 2) / (2 * sigma**2))
+        weights[offsets == 0] *= 2
+        expected = draws * weights / weights.sum()
+        observed = np.bincount(x[:, col] - nearest - offsets[0], minlength=offsets.size)
+        assert observed.size == offsets.size, "a draw fell beyond 40 offsets"
+        body = expected >= 5
+        obs = np.append(observed[body], observed[~body].sum())
+        exp = np.append(expected[body], expected[~body].sum())
+        chi2 = float(((obs - exp) ** 2 / exp).sum())
+        assert chi2 < chi2_critical(obs.size - 1), (c, chi2)
+
+
+def test_dgauss_tables_are_small_and_exact():
+    """Every desk plane's table fits 32 KiB; its guide agrees with a searchsorted
+    build, and proposal times acceptance is the target law for every bucket."""
+    params = LweParams(n=4, p=31, q=find_q(31, 30))
+    _, _, norms2, _ = _gadget_basis(params.q, params.d)
+    bins = np.arange(256) / 256
+    for width in _preimage_sigma_z(params) / np.sqrt(norms2):
+        table = _dgauss_table(float(width))
+        assert sum(a.nbytes for a in table if isinstance(a, np.ndarray)) <= 32 * 1024
+        cdf, guide, step, log_env, half, a = table
+        offsets = np.arange(-half, half + 1)
+        for j in range(16):
+            lo = np.searchsorted(cdf[j], bins, side="right")
+            assert (guide[j] == lo).all()
+            assert (step[j] == (lo != np.searchsorted(cdf[j], bins + 1 / 256))).all()
+            proposal = np.diff(cdf[j], prepend=0.0)
+            for f in -0.5 + (j + np.array([0.0, 0.3, 1.0])) / 16:
+                log_ratio = log_env[j] - a * (offsets - f) ** 2
+                assert (log_ratio <= 1e-12).all()       # an acceptance probability
+                law = proposal * np.exp(log_ratio)
+                target = np.exp(-a * (offsets - f) ** 2) * np.where(offsets == 0, 2, 1)
+                # a float64 CDF resolves probabilities down to about 2^-53
+                np.testing.assert_allclose(law / law.sum(), target / target.sum(),
+                                           rtol=1e-9, atol=2.0**-50)
+
+
+def dense_nearest_plane_centres(q: int, d: int, targets, coeffs):
+    """Centres of a nearest-plane walk that projects the whole running remainder.
+
+    The walk takes the coefficient of plane i from coeffs[i], so it follows
+    the same path as the walk under test whatever that one rounds to.
+    """
+    basis = np.zeros((d, d))
+    for i in range(d - 1):
+        basis[i, i], basis[i + 1, i] = 2, -1
+    basis[:, d - 1] = [(q >> j) & 1 for j in range(d)]
+    qmat, rmat = np.linalg.qr(basis)
+    gso = qmat * np.diag(rmat)                  # Gram-Schmidt vectors as columns
+    remaining = -np.array([[(t >> j) & 1 for t in targets] for j in range(d)], dtype=float)
+    centres = {}
+    for i in range(d - 1, -1, -1):
+        centres[i] = gso[:, i] @ remaining / (gso[:, i] @ gso[:, i])
+        remaining -= np.outer(basis[:, i], coeffs[i])
+    return centres
+
+
+@pytest.mark.parametrize("q_bits", [30, 38])
+def test_coset_walk_centres_match_a_dense_walk(monkeypatch, q_bits):
+    q = find_q(31, q_bits)
+    d = max(1, math.ceil(math.log2(q)))
+    seen = []
+
+    def nearest(rng, sigma, centers):
+        seen.append(np.array(centers, dtype=float))
+        return np.floor(centers + 0.5).astype(np.int64)
+
+    monkeypatch.setattr(lattice, "sample_dgauss_centered", nearest)
+    targets = named_stream(5, "walk-centres", q_bits).integers(0, q, size=300)
+    z = lattice.sample_gadget_cosets(named_stream(6, "walk"), q, d, 2.7, targets)
+    assert len(seen) == d
+    planes = {d - 1 - n: c for n, c in enumerate(seen)}      # the walk runs d-1 down to 0
+    coeffs = {i: np.floor(c + 0.5) for i, c in planes.items()}
+    reference = dense_nearest_plane_centres(q, d, [int(t) for t in targets], coeffs)
+    for i in range(d):
+        np.testing.assert_allclose(planes[i], reference[i], rtol=0, atol=1e-9)
+    assert ((z @ (1 << np.arange(d, dtype=np.int64))) % q == targets).all()
 
 
 # ---------------------------------------------------------------------------
