@@ -101,8 +101,12 @@ def cmd_setsys_build(args) -> int:
 def cmd_setsys_verify(args) -> int:
     payload = serial.deserialize(_read(args.file), "set-system")
     system = serial.doc_set_system(payload)
-    t = args.t if args.t is not None else int(payload.get("t", 3))
+    t = args.t if args.t is not None else payload.get("t", 3)
     l = args.l if args.l is not None else payload.get("l")
+    # type() is int refuses the JSON booleans and strings int() would take
+    for name, value in (("t", t), ("l", 2 if l is None else l)):
+        if type(value) is not int or value < 2:
+            raise ValueError(f"{name} must be an integer of at least 2, not {value!r}")
     report = verify_restricted_intersections(system, t=t, l=l,
                                              samples=args.samples, seed=args.seed)
     _emit(args, "intersection-report", report.to_doc())

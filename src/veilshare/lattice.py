@@ -39,7 +39,9 @@ centre is its share of the target bits, projected once for all planes,
 less two GSO terms: one from the bits of q and one from the next plane.
 Each plane draws its integers by exact rejection from a proposal chosen
 by the centre's fraction, one of 16 buckets whose envelope the target
-fills to about 98 %, looked up through a 256-bin guide table.
+fills to about 98 %, looked up through a 256-bin guide table.  That one
+exact sampler, at centre 0 and width s, also draws every trapdoor's R
+and the dealer's errors E.
 
 Bookkeeping note on the matrix-secret view: an n x n secret is n
 column secrets against one public matrix, and insisting on a generator
@@ -197,46 +199,20 @@ class LweParams:
 # discrete Gaussians
 
 
-def sample_dgauss(rng: np.random.Generator, sigma: float, size) -> np.ndarray:
-    """Centered discrete Gaussian over Z by rejection from a geometric tail.
-
-    Proposal: sign * geometric magnitude with P(k) proportional to
-    exp(-k/sigma); acceptance exp(-(|k|-sigma)^2 / (2 sigma^2)) thins it
-    to the exact exp(-k^2 / (2 sigma^2)) weights.
-    """
-    if sigma <= 0.5:
-        raise ValueError("sigma too small")
-    total = int(np.prod(size)) if not np.isscalar(size) else int(size)
-    out = np.empty(total, dtype=np.int64)
-    filled = 0
-    p_geom = 1.0 - math.exp(-1.0 / sigma)
-    while filled < total:
-        batch = max(64, int(1.5 * (total - filled)))
-        mag = rng.geometric(p_geom, size=batch) - 1
-        sign = rng.integers(0, 2, size=batch) * 2 - 1
-        dup_zero = (mag == 0) & (sign == -1)
-        accept = (~dup_zero) & (rng.random(batch) <
-                                np.exp(-((mag - sigma) ** 2) / (2 * sigma * sigma)))
-        take = (sign * mag)[accept][: total - filled]
-        out[filled: filled + len(take)] = take
-        filled += len(take)
-    return out.reshape(size)
-
-
 CENTRE_BUCKETS = 16        # proposal rows, one per 1/16 of the centre's fraction
 GUIDE_BINS = 256           # guide-table bins per row; a power of two keeps G * cdf exact
 
 
-# keyed by the plane width, which (q, d, sigma_z) fixes: d widths per profile
+# keyed by the width: s for R and E, and the d plane widths (q, d, sigma_z) fix
 @functools.lru_cache(maxsize=256)
 def _dgauss_table(sigma: float):
     """Per-bucket proposal tables for sample_dgauss_centered.
 
     Bucket j holds the fractions f in [-1/2 + j/16, -1/2 + (j + 1)/16].
     Its proposal over offsets u = -half..half is the envelope
-    max_f rho_sigma(u - f) over the bucket, with offset 0 weighted twice
-    as the target is; beyond 10 sigma + 1 every weight is below 2^-70 of
-    the total.  Returns (cdf, guide, step, log_env, half, a):
+    max_f rho_sigma(u - f) over the bucket; beyond 10 sigma + 1 every
+    weight is below 2^-70 of the total.  Returns (cdf, guide, step,
+    log_env, half, a):
 
     - cdf (16, n): each row's CDF, last entry exactly 1;
     - guide (16, 256): #{j : cdf_j <= g/256}, the offset index for every
@@ -251,9 +227,7 @@ def _dgauss_table(sigma: float):
     nearest = np.clip(offsets, edges[:-1, None], edges[1:, None])
     a = 1.0 / (2 * sigma * sigma)
     log_env = a * (offsets - nearest) ** 2
-    weights = np.exp(-log_env)
-    weights[:, half] *= 2
-    cdf = np.cumsum(weights, axis=1)
+    cdf = np.cumsum(np.exp(-log_env), axis=1)
     cdf /= cdf[:, -1:]
     cdf[:, -1] = 1.0       # every uniform in [0, 1) lands on an offset
     row = (GUIDE_BINS + 1) * np.arange(CENTRE_BUCKETS)[:, None]
@@ -277,12 +251,13 @@ def sample_dgauss_centered(rng: np.random.Generator, sigma: float,
                            centers: np.ndarray) -> np.ndarray:
     """Discrete Gaussians over Z with per-entry real centers, same width.
 
-    x = r + u with r = floor(c + 0.5) has weight rho_sigma(x - c), doubled
-    at x = r.  Each round draws one (proposal, acceptance) uniform pair per
-    pending entry: u comes from the proposal row of the bucket holding
-    f = c - r (see _dgauss_table), found through the guide table and, in a
-    bin that holds a CDF step, by comparing against the row, and is kept
-    with probability rho_sigma(u - f) / envelope(u).  The ratio is exact,
+    x = r + u with r = floor(c + 0.5) has weight rho_sigma(x - c), exactly.
+    This is the one sampler: R, E (centre 0) and every coset-walk plane
+    draw from it.  Each round draws one (proposal, acceptance) uniform
+    pair per pending entry: u comes from the proposal row of the bucket
+    holding f = c - r (see _dgauss_table), found through the guide table
+    and, in a bin that holds a CDF step, by comparing against the row, and
+    is kept with probability rho_sigma(u - f) / envelope(u).  The ratio is exact,
     and about 98 % of proposals are kept at the desk widths.
     """
     if sigma <= 0.5:
@@ -423,14 +398,11 @@ def planted_trapdoor(params: LweParams, a_bar: np.ndarray, r: np.ndarray) -> Tra
     return TrapdoorMatrix(params, np.concatenate([a_bar, lower]).astype(np.int64), r)
 
 
-def trapdoor_gen(params: LweParams,
-                 rng: np.random.Generator | None = None) -> TrapdoorMatrix:
+def trapdoor_gen(params: LweParams, rng: np.random.Generator) -> TrapdoorMatrix:
     """Sample A with a planted gadget trapdoor; the top block is uniform."""
-    if rng is None:
-        rng = np.random.default_rng()
     n, q, d = params.n, params.q, params.d
     a_bar = rng.integers(0, q, size=(params.w_bar, n), dtype=np.int64)
-    r = sample_dgauss(rng, params.s, (n * d, params.w_bar))
+    r = sample_dgauss_centered(rng, params.s, np.zeros((n * d, params.w_bar)))
     trap = planted_trapdoor(params, a_bar, r)
     if trap.relation_residual().any():
         raise RuntimeError("gadget relation failed to hold")
@@ -440,25 +412,19 @@ def trapdoor_gen(params: LweParams,
 def _decode_digit_blocks(blocks: np.ndarray, q: int, d: int) -> tuple[np.ndarray, bool]:
     """Recover every v from its block b_j = 2^j v + e_j mod q, j < d (last axis).
 
-    Exact while max |e_j| < q/6.  gamma = sum_j 2^(d-2-j) lift(b_{j+1} - 2 b_j)
-    stays below 2^(2d-2) in magnitude, so int64 holds it for 2d <= 62 and
-    Python ints (object arrays) hold it beyond.  e0 is rounded in float64,
-    as int / float division rounds gamma.
+    Exact while max |e_j| < q/6.  gamma, the sum over j of 2^(d-2-j)
+    centered(b_{j+1} - 2 b_j), stays below 2^(2d-2) in magnitude, so int64
+    holds it for 2d <= 62 and Python ints (object arrays) hold it beyond.
+    e0 is rounded in float64, as int / float division rounds gamma.
     """
     dtype = np.int64 if 2 * d <= 62 else object
     b = np.asarray(blocks).astype(dtype)
-    half = q // 2
-
-    def lift(x):
-        x = np.mod(x, q)
-        return np.where(x > half, x - q, x)
-
     horner = np.array([1 << j for j in range(d - 2, -1, -1)], dtype=dtype)
-    gamma = lift(b[..., 1:] - 2 * b[..., :-1]) @ horner
+    gamma = centered(b[..., 1:] - 2 * b[..., :-1], q) @ horner
     e0 = np.floor(-(np.asarray(gamma).astype(np.float64) / float(2 ** (d - 1))) + 0.5)
     v = np.mod(b[..., 0] - e0.astype(np.int64).astype(dtype), q)
     digits = np.array([1 << j for j in range(d)], dtype=dtype)
-    ok = bool((np.abs(lift(b - v[..., None] * digits)) <= q // 4).all())
+    ok = bool((np.abs(centered(b - v[..., None] * digits, q)) <= q // 4).all())
     return v.astype(np.int64), ok
 
 

@@ -35,9 +35,13 @@ Verification is communication free and runs after reconstruction: for
 each chain position j the suffix product D_last ... D_j A_j is inverted
 with the terminal trapdoor and det must step by k^{e_j} from the suffix
 above it.  One walk down the chain builds every suffix product side by
-side, and reconstruction decodes the first of them.  A forged encoding
-survives one such check only if its decode happens to land on the right
-determinant residue, roughly a 1/(p-1) fluke per check.
+side, and reconstruction decodes the first of them.  The dealer runs
+that walk and decode on each chain it builds and redraws the chain's
+errors and encodings until it opens, at most CHAIN_DRAWS times before
+deal refuses, so no dealing goes out that its coalition cannot open.
+A forged encoding survives one such check only if its decode happens to
+land on the right determinant residue, roughly a 1/(p-1) fluke per
+check.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .lattice import (
     matmul_mod,
     matrix_power_mod,
     planted_trapdoor,
-    sample_dgauss,
+    sample_dgauss_centered,
     sample_preimage_batch,
     sample_prim_secret,
     trapdoor_gen,
@@ -137,6 +141,7 @@ class VssParams:
 
 
 KEY_SHARE_BYTES = 32
+CHAIN_DRAWS = 4          # draws of a chain's errors and encodings before deal refuses it
 
 
 @dataclass
@@ -303,7 +308,7 @@ def _draw_exponents(rng: np.random.Generator, count: int, p: int) -> list[int]:
 
 def _sample_error(rng: np.random.Generator, params: LweParams, shape) -> np.ndarray:
     for _ in range(64):
-        e = sample_dgauss(rng, params.s, shape)
+        e = sample_dgauss_centered(rng, params.s, np.zeros(shape))
         if int(np.abs(e).max()) < params.error_cap:
             return e
     raise VssError("error sampling cap exceeded")
@@ -360,18 +365,31 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
         outsiders = [party for party in range(1, parties + 1) if party not in omega]
         decoys = {party: trapdoor_gen(lwe, rng=rng) for party in outsiders}
 
-        link_targets = []
-        for pos in range(len(order)):
-            e_mat = _sample_error(rng, lwe, (lwe.w, n))
-            link_targets.append(np.asarray(
-                np.mod(matmul_mod(chain[pos + 1].A, s_pows[pos], q) + e_mat, q),
-                dtype=np.int64))
-        decoy_targets = {party: rng.integers(0, q, size=(lwe.w, n), dtype=np.int64)
-                         for party in outsiders}
-        encodings = sample_preimage_batch(
-            [chain[pos] for pos in range(len(order))] + [decoys[p] for p in outsiders],
-            link_targets + [decoy_targets[p] for p in outsiders], rng)
-        d_mats = encodings[: len(order)]
+        # the decode an authorized coalition will run, done once here: a
+        # chain whose error outgrows the bound is redrawn, then refused
+        for _ in range(CHAIN_DRAWS):
+            link_targets = []
+            for pos in range(len(order)):
+                e_mat = _sample_error(rng, lwe, (lwe.w, n))
+                link_targets.append(np.asarray(
+                    np.mod(matmul_mod(chain[pos + 1].A, s_pows[pos], q) + e_mat, q),
+                    dtype=np.int64))
+            decoy_targets = {party: rng.integers(0, q, size=(lwe.w, n), dtype=np.int64)
+                             for party in outsiders}
+            encodings = sample_preimage_batch(
+                chain[:-1] + [decoys[p] for p in outsiders],
+                link_targets + [decoy_targets[p] for p in outsiders], rng)
+            d_mats = encodings[: len(order)]
+            walk = _chain_walk([(t.A, d) for t, d in zip(chain, d_mats)], chain[-1])
+            try:
+                lwe_invert(chain[-1], walk[:, :n], check=True)
+                break
+            except InversionError as exc:
+                failure = str(exc)      # not exc: its traceback would pin this frame
+        else:
+            raise VssError(
+                f"a chain of {len(order)} cannot be opened after {CHAIN_DRAWS} draws: "
+                f"{failure}; raise --q-bits")
         decoy_d = dict(zip(outsiders, encodings[len(order):]))
 
         header_payload = {
@@ -472,21 +490,21 @@ def _opened_chains(bundles: list[ShareBundle]):
         yield shares, header, trap
 
 
-def _chain_walk(shares, order: list[int], trap: TrapdoorMatrix) -> np.ndarray:
+def _chain_walk(links, trap: TrapdoorMatrix) -> np.ndarray:
     """[D_last ... D_0 A_0 | D_last ... D_1 A_1 | ... | D_last A_last] mod q.
 
-    Each member in chain order appends its A as new columns, then the whole
-    stack is multiplied by its D once, so column block j ends up holding
-    the suffix product from position j on.
+    links holds each member's (A, D) in chain order.  Each appends its A as
+    new columns, then the whole stack is multiplied by its D once, so column
+    block j ends up holding the suffix product from position j on.  The
+    dealer and every reader walk through here.
     """
     lwe = trap.params
     stack = np.zeros((lwe.w, 0), dtype=np.int64)
-    for party in order:
-        a_mat = shares[party].a_matrix
+    for a_mat, d_mat in links:
         if a_mat.shape != (lwe.w, lwe.n):
             raise ValueError(f"expected A of shape {(lwe.w, lwe.n)}")
         stack = np.concatenate([stack, a_mat % lwe.q], axis=1)
-        stack = np.asarray(matmul_mod(shares[party].d_matrix, stack, lwe.q), dtype=np.int64)
+        stack = np.asarray(matmul_mod(d_mat, stack, lwe.q), dtype=np.int64)
     return stack
 
 
@@ -506,7 +524,8 @@ def reconstruct(bundles: list[ShareBundle]) -> Secret:
         if header is None:
             corruption = "header failed to open for this coalition"
             continue
-        stack = _chain_walk(shares, header["order"], trap)
+        links = [(shares[p].a_matrix, shares[p].d_matrix) for p in header["order"]]
+        stack = _chain_walk(links, trap)
         try:
             m_mat, _ = lwe_invert(trap, stack[:, : trap.params.n], check=True)
         except InversionError as exc:
@@ -545,7 +564,8 @@ def verify_shares(bundles: list[ShareBundle], secret: Secret) -> dict[int, int]:
             continue
         opened_any = True
         order, exps, n = header["order"], header["exponents"], trap.params.n
-        m_all, _ = lwe_invert(trap, _chain_walk(shares, order, trap), check=False)
+        links = [(shares[p].a_matrix, shares[p].d_matrix) for p in order]
+        m_all, _ = lwe_invert(trap, _chain_walk(links, trap), check=False)
         above = 1       # det of the S-power product strictly above j
         for j in range(len(order) - 1, -1, -1):
             det_j = det_int(m_all[:, j * n: (j + 1) * n]) % p

@@ -380,6 +380,32 @@ def test_cli_setsys_verify_rejects_malformed_files(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("invalid:")
 
 
+@pytest.fixture(scope="module")
+def h15_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("h15") / "h15.json"
+    assert main(["--quiet", "setsys", "build", "--m", "15", "--n", "3", "--l", "2",
+                 "--t", "3", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("change", [{"l": "2"}, {"l": True}, {"l": [2]},
+                                    {"t": True}, {"t": "3"}])
+def test_cli_setsys_verify_refuses_a_non_integer_t_or_l(h15_file, tmp_path, capsys, change):
+    # the l values reached the size-ratio check and came back as a violation
+    # (exit 3); int() read "t": true as t = 1 and "t": "3" as 3 (exit 0)
+    payload = serial.deserialize(h15_file.read_bytes(), "set-system")
+    (tmp_path / "bad.json").write_bytes(serial.serialize("set-system", {**payload, **change}))
+    assert run_cli("setsys", "verify", str(tmp_path / "bad.json"), "--samples", "2000") == 2
+    assert capsys.readouterr().err.startswith("invalid:")
+
+
+@pytest.mark.parametrize("flag", [("--t", "1"), ("--l", "1")])
+def test_cli_setsys_verify_refuses_t_or_l_below_two(h15_file, capsys, flag):
+    # t = 1 checked no family (exit 0); l = 1 was reported as a size-ratio violation
+    assert run_cli("setsys", "verify", str(h15_file), "--samples", "2000", *flag) == 2
+    assert capsys.readouterr().err.startswith("invalid:")
+
+
 def test_cli_set_systems_stay_within_the_cell_budget(tmp_path, capsys):
     # refused before allocating: n = 4 merges 66,048 sets over 5,730 elements,
     # n = 8 lists 8**8 sets over 86.7 M elements, n = 9 (9**9 sets) was

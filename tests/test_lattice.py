@@ -24,7 +24,6 @@ from veilshare.lattice import (
     modswitch_window_ok,
     planted_trapdoor,
     prim_acceptance_fraction,
-    sample_dgauss,
     sample_dgauss_centered,
     sample_preimage_batch,
     sample_prim_secret,
@@ -154,19 +153,16 @@ def test_matrix_power_mod():
 def test_dgauss_moments():
     rng = named_stream(6, "dg")
     for sigma in (2.0, 3.5, 11.0):
-        x = sample_dgauss(rng, sigma, 40_000)
+        x = sample_dgauss_centered(rng, sigma, np.zeros(40_000))
         assert abs(float(x.mean())) < 4 * sigma / math.sqrt(40_000)
         assert abs(float(x.std()) - sigma) / sigma < 0.05
 
 
 @pytest.mark.parametrize("sigma", [1.21, 1.36, 1.57])
 def test_dgauss_centered_matches_its_exact_weights(sigma):
-    """Chi-square of sample_dgauss_centered against rho_sigma(x - c) * (1 + [x = round(c)]).
+    """Chi-square of sample_dgauss_centered against rho_sigma(x - c).
 
-    The integer nearest c, floor(c + 0.5), is counted twice, as every
-    release of the sampler has drawn it; ROADMAP item 3 holds the fix
-    back.  Fixing it drops the doubling below, one line.  The widths are
-    those of the desk profile's gadget planes.
+    The widths are those of the desk profile's gadget planes.
     """
     draws = 100_000
     offsets = np.arange(-40, 41)
@@ -175,7 +171,6 @@ def test_dgauss_centered_matches_its_exact_weights(sigma):
         rng = named_stream(17, "dgauss-centered", sigma, c)
         x = sample_dgauss_centered(rng, sigma, np.full(draws, c))
         weights = np.exp(-((nearest + offsets - c) ** 2) / (2 * sigma**2))
-        weights[offsets == 0] *= 2
         expected = draws * weights / weights.sum()
         observed = np.bincount(x - nearest - offsets[0], minlength=offsets.size)
         assert observed.size == offsets.size, "a draw fell beyond 40 offsets"
@@ -219,7 +214,6 @@ def test_dgauss_centered_mixed_centres_in_one_call(sigma):
     for col, c in enumerate(centres):
         nearest = math.floor(c + 0.5)
         weights = np.exp(-((nearest + offsets - c) ** 2) / (2 * sigma**2))
-        weights[offsets == 0] *= 2
         expected = draws * weights / weights.sum()
         observed = np.bincount(x[:, col] - nearest - offsets[0], minlength=offsets.size)
         assert observed.size == offsets.size, "a draw fell beyond 40 offsets"
@@ -250,7 +244,7 @@ def test_dgauss_tables_are_small_and_exact():
                 log_ratio = log_env[j] - a * (offsets - f) ** 2
                 assert (log_ratio <= 1e-12).all()       # an acceptance probability
                 law = proposal * np.exp(log_ratio)
-                target = np.exp(-a * (offsets - f) ** 2) * np.where(offsets == 0, 2, 1)
+                target = np.exp(-a * (offsets - f) ** 2)
                 # a float64 CDF resolves probabilities down to about 2^-53
                 np.testing.assert_allclose(law / law.sum(), target / target.sum(),
                                            rtol=1e-9, atol=2.0**-50)

@@ -268,6 +268,44 @@ def test_exponent_telescoping_and_error_growth():
     assert norms[2] < norms[3] < norms[4]
 
 
+@pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
+def test_deal_refuses_what_no_coalition_can_open(length):
+    # the desk profile opens chains of up to 3; a longer chain's error
+    # outgrows the bound, and deal must refuse it rather than issue it
+    omega = tuple(range(1, length + 1))
+    for seed in range(20):
+        try:
+            bundles = deal(SECRET, [omega], length, PARAMS, seed=seed)
+        except VssError:
+            assert length > 3, seed
+            continue
+        assert reconstruct(bundles) == SECRET, seed
+
+
+def test_deal_redraws_a_chain_until_it_opens(monkeypatch):
+    calls, original = [], vss.lwe_invert
+
+    def failing_twice(trap, b_matrix, check=True):
+        calls.append(check)
+        if len(calls) <= 2:
+            raise vss.InversionError("residual 9 exceeds bound 1")
+        return original(trap, b_matrix, check=check)
+
+    monkeypatch.setattr(vss, "lwe_invert", failing_twice)
+    bundles = deal(SECRET, [(1, 2, 3)], 5, PARAMS, seed=11)
+    assert calls == [True] * 3
+    monkeypatch.setattr(vss, "lwe_invert", original)
+    assert reconstruct(bundles) == SECRET
+
+    def never_opens(trap, b_matrix, check=True):
+        raise vss.InversionError("residual 9 exceeds bound 1")
+
+    monkeypatch.setattr(vss, "lwe_invert", never_opens)
+    with pytest.raises(VssError, match=rf"chain of 3 .* {vss.CHAIN_DRAWS} draws: residual 9 "
+                                        r"exceeds bound 1; raise --q-bits"):
+        deal(SECRET, [(1, 2, 3)], 5, PARAMS, seed=11)
+
+
 def test_params_doc_roundtrip():
     base = VssParams.desk().to_doc()
     for milli in range(1, 5001):
