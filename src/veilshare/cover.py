@@ -7,18 +7,12 @@ and vanish exactly on the self products (set sizes being 0 mod m).
 A k-multilinear form extends this to k-fold intersections, and
 inclusion-exclusion expresses intersections with unions without ever
 touching the underlying sets.
-
-A family may carry a companion family over a larger modulus m' (m | m')
-on the same padded universe.  Inner products are additive in their
-second argument over the integers, so knowing a difference vector
-v_delta = v' - v lets a holder of u "hop": <u,v> + <u,v_delta> = <u,v'>.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,11 +32,9 @@ class CoveringVector:
 class VectorFamily:
     """Covering vectors for one set system, stored as an (N, h) matrix."""
 
-    def __init__(self, matrix: np.ndarray, modulus: Modulus,
-                 companion: Optional["VectorFamily"] = None):
+    def __init__(self, matrix: np.ndarray, modulus: Modulus):
         self.matrix = np.asarray(matrix, dtype=np.int64)
         self.modulus = modulus
-        self.companion = companion
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -64,39 +56,10 @@ class VectorFamily:
         off = prod[~np.eye(len(self), dtype=bool)]
         return set(int(v) for v in np.unique(off)) - {0}
 
-    def delta(self, i: int) -> np.ndarray:
-        """Difference vector v'_i - v_i into the companion family."""
-        if self.companion is None:
-            raise ValueError("no companion family attached")
-        return self.companion.matrix[i] - self.matrix[i]
-
 
 def to_covering_family(system: SetSystem) -> VectorFamily:
     """One characteristic vector per member set, entries in {0,1} as residues."""
     return VectorFamily(system.sets.astype(np.int64), system.modulus)
-
-
-def attach_companion(family: VectorFamily, other: VectorFamily) -> VectorFamily:
-    """Pair two families index by index on a shared zero-padded universe.
-
-    Both families are padded on the right to the wider width; the
-    companion's modulus must be a proper multiple of the base modulus.
-    """
-    if len(family) != len(other):
-        raise ValueError("companion families must have the same member count")
-    if other.modulus.m % family.modulus.m != 0:
-        raise ValueError("companion modulus must be a multiple of the base modulus")
-    width = max(family.width, other.width)
-
-    def pad(mat):
-        if mat.shape[1] == width:
-            return mat
-        out = np.zeros((mat.shape[0], width), dtype=np.int64)
-        out[:, : mat.shape[1]] = mat
-        return out
-
-    comp = VectorFamily(pad(other.matrix), other.modulus)
-    return VectorFamily(pad(family.matrix), family.modulus, companion=comp)
 
 
 def multilinear_form(vs: list) -> int:
@@ -129,12 +92,3 @@ def iterated_union_form(v, ws: list) -> int:
             total += sign * multilinear_form([v, *combo])
     return total
 
-
-def hop(u, v, v_delta) -> int:
-    """<u, v> + <u, v_delta> = <u, v'> over the integers."""
-    ua = np.asarray(getattr(u, "entries", u), dtype=np.int64)
-    va = np.asarray(getattr(v, "entries", v), dtype=np.int64)
-    da = np.asarray(v_delta, dtype=np.int64)
-    if not ua.shape == va.shape == da.shape:
-        raise ValueError("vectors must share one length")
-    return int(ua @ va) + int(ua @ da)

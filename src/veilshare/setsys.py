@@ -353,7 +353,8 @@ def verify_restricted_intersections(system: SetSystem, t: int, l: int | None = N
     All pairs are checked exhaustively; families of size 3..t are checked
     on ``samples`` seeded random draws each.  Families where one member is
     contained in every other member are degenerate and exempt.  Violations
-    are returned with witnesses, never raised.
+    are returned with witnesses, never raised; ValueError refuses a
+    ``samples`` whose families would not fit MAX_CELLS.
     """
     m = system.modulus.m
     sizes = system.sizes()
@@ -392,6 +393,9 @@ def verify_restricted_intersections(system: SetSystem, t: int, l: int | None = N
             if n_sets < arity:
                 break
             total = math.comb(n_sets, arity)
+            if min(total, samples) * arity > MAX_CELLS:     # the (families, arity) array
+                raise ValueError(f"{min(total, samples)} families of {arity} sets exceed "
+                                 f"the {MAX_CELLS}-cell budget; lower samples")
             if total <= samples:
                 fams = np.array(list(itertools.combinations(range(n_sets), arity)))
             else:

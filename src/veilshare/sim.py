@@ -3,6 +3,8 @@
 Each trial deals fresh shares from a named randomness stream, corrupts a
 configured number of them, lets the configured coalition reconstruct, and
 scores the post-hoc verification verdicts against the known corruption.
+Both come from one read of the coalition (vss._read_chains): each header
+is opened and each chain walked once per trial.
 Trials draw from independent streams and aggregate by plain counting, so
 they could run on a worker pool without changing the report; aggregates
 are exact integer counts plus rational rates, and a fixed seed
@@ -31,9 +33,10 @@ from .vss import (
     ShareCorruptionError,
     UnauthorizedError,
     VssParams,
+    _read_chains,
+    _secret_of,
+    _verdicts_of,
     deal,
-    reconstruct,
-    verify_shares,
 )
 
 MODES = ("encoding", "bitflip", "token")
@@ -137,8 +140,9 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             for b in bundles
         ]
 
+        chains = list(_read_chains(bundles))
         try:
-            got = reconstruct(bundles)
+            got = _secret_of(chains)
             outcome = "ok" if got == secret else "wrong-secret"
         except UnauthorizedError:
             outcome = "unauthorized"
@@ -146,11 +150,10 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             outcome = "corrupt"
         totals[outcome] += 1
 
-        verdicts = None
         detected = False
         corrupted_checks = accepted_checks = 0
         try:
-            verdicts = verify_shares(bundles, secret)
+            verdicts = _verdicts_of(chains, bundles, secret)
         except HeaderUnavailableError:
             verdicts = None
         if malicious:

@@ -35,10 +35,13 @@ Verification is communication free and runs after reconstruction: for
 each chain position j the suffix product D_last ... D_j A_j is inverted
 with the terminal trapdoor and det must step by k^{e_j} from the suffix
 above it.  One walk down the chain builds every suffix product side by
-side, and reconstruction decodes the first of them.  The dealer runs
-that walk and decode on each chain it builds and redraws the chain's
-errors and encodings until it opens, at most CHAIN_DRAWS times before
-deal refuses, so no dealing goes out that its coalition cannot open.
+side.  _read_chains token-tests, opens and walks a coalition's chains one
+at a time; reconstruct reads until one opens (_open_chain decodes the
+first suffix), verify_shares reads them all, and the simulator reads
+each trial once for both.  The dealer walks each chain it builds and
+redraws the chain's errors and encodings until _open_chain opens it, at
+most CHAIN_DRAWS times before deal refuses, so no dealing goes out that
+its coalition cannot open.
 A forged encoding survives one such check only if its decode happens to
 land on the right determinant residue, roughly a 1/(p-1) fluke per
 check.
@@ -382,7 +385,7 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
             d_mats = encodings[: len(order)]
             walk = _chain_walk([(t.A, d) for t, d in zip(chain, d_mats)], chain[-1])
             try:
-                lwe_invert(chain[-1], walk[:, :n], check=True)
+                _open_chain(chain[-1], walk)
                 break
             except InversionError as exc:
                 failure = str(exc)      # not exc: its traceback would pin this frame
@@ -448,18 +451,18 @@ def _check_header(header) -> None:
         raise serial.SerializationError("header exponents must be one integer per chain member")
 
 
-def _opened_chains(bundles: list[ShareBundle]):
-    """Token-test every dealt instance; open the header of each certified one.
+def _read_chains(bundles: list[ShareBundle]):
+    """Token-test every dealt instance; open and walk each certified one.
 
     K2 is tried as the XOR of each nonempty subset of the c parties' key
     shares: at most 2^c - 1 header keys.
 
-    Yields (shares by party, header payload, terminal trapdoor) for every
-    instance whose tokens certify the coalition, with header and trapdoor
-    None when the header fails to authenticate or its chain order names a
-    party outside the coalition.  Bundles must come from one dealing and
-    name distinct parties.  A header that opens but does not hold exactly
-    the fields deal writes raises SerializationError (_check_header).
+    Yields (order, exponents, terminal trapdoor, _chain_walk of the links)
+    for every instance whose tokens certify the coalition, one at a time as
+    asked, or None when the header fails to authenticate or its chain order
+    names a party outside the coalition.  Bundles must come from one dealing
+    and name distinct parties.  A header that opens but does not hold
+    exactly the fields deal writes raises SerializationError (_check_header).
     """
     if len({b.party for b in bundles}) != len(bundles):
         raise VssError("two shares name the same party")
@@ -479,15 +482,17 @@ def _opened_chains(bundles: list[ShareBundle]):
             header_bytes = open_header(keys, instance_id, shares[bundles[0].party].header_ct)
             header = serial.deserialize(header_bytes, "reconstruction")
         except (VssError, serial.SerializationError):
-            yield shares, None, None
+            yield None
             continue
         _check_header(header)
-        if not set(header["order"]) <= shares.keys():
-            yield shares, None, None
+        order = header["order"]
+        if not set(order) <= shares.keys():
+            yield None
             continue
         trap = planted_trapdoor(params.lwe, serial.doc_matrix(header["a_bar"]),
                                 serial.doc_matrix(header["r_term"]))
-        yield shares, header, trap
+        links = [(shares[p].a_matrix, shares[p].d_matrix) for p in order]
+        yield order, header["exponents"], trap, _chain_walk(links, trap)
 
 
 def _chain_walk(links, trap: TrapdoorMatrix) -> np.ndarray:
@@ -508,26 +513,24 @@ def _chain_walk(links, trap: TrapdoorMatrix) -> np.ndarray:
     return stack
 
 
-def reconstruct(bundles: list[ShareBundle]) -> Secret:
-    """Recover the secret for an authorized coalition of bundles.
+def _open_chain(trap: TrapdoorMatrix, walk: np.ndarray) -> np.ndarray:
+    """M decoded from block 0 of a walk; InversionError means the chain does not open."""
+    m_mat, _ = lwe_invert(trap, walk[:, : trap.params.n], check=True)
+    return m_mat
 
-    Raises UnauthorizedError when no dealt instance certifies the
-    coalition, ShareCorruptionError when certification succeeds but the
-    chain fails to invert within bounds.
-    """
-    if not bundles:
-        raise UnauthorizedError("empty coalition")
+
+def _secret_of(chains) -> Secret:
+    """reconstruct's answer from _read_chains; stops at the first chain that opens."""
     corruption: object = None
     certified = False
-    for shares, header, trap in _opened_chains(bundles):
+    for chain in chains:
         certified = True
-        if header is None:
+        if chain is None:
             corruption = "header failed to open for this coalition"
             continue
-        links = [(shares[p].a_matrix, shares[p].d_matrix) for p in header["order"]]
-        stack = _chain_walk(links, trap)
+        _, _, trap, walk = chain
         try:
-            m_mat, _ = lwe_invert(trap, stack[:, : trap.params.n], check=True)
+            m_mat = _open_chain(trap, walk)
         except InversionError as exc:
             corruption = exc
             continue
@@ -542,8 +545,44 @@ def reconstruct(bundles: list[ShareBundle]) -> Secret:
     raise UnauthorizedError("coalition tokens certify no dealt access structure")
 
 
+def reconstruct(bundles: list[ShareBundle]) -> Secret:
+    """Recover the secret for an authorized coalition of bundles.
+
+    Raises UnauthorizedError when no dealt instance certifies the
+    coalition, ShareCorruptionError when certification succeeds but the
+    chain fails to invert within bounds.
+    """
+    if not bundles:
+        raise UnauthorizedError("empty coalition")
+    return _secret_of(_read_chains(bundles))
+
+
 # ---------------------------------------------------------------------------
 # verification
+
+
+def _verdicts_of(chains, bundles: list[ShareBundle], secret: Secret) -> dict[int, int]:
+    """verify_shares' verdicts from every chain _read_chains(bundles) yields."""
+    verdicts = {b.party: 1 for b in bundles}
+    opened_any = False
+    for chain in chains:
+        if chain is None:
+            continue
+        opened_any = True
+        order, exps, trap, walk = chain
+        n, p = trap.params.n, trap.params.p
+        m_all, _ = lwe_invert(trap, walk, check=False)
+        above = 1       # det of the S-power product strictly above j
+        for j in range(len(order) - 1, -1, -1):
+            det_j = det_int(m_all[:, j * n: (j + 1) * n]) % p
+            if det_j != above * pow(secret.k, exps[j], p) % p:
+                verdicts[order[j]] = 0
+            above = det_j
+    if not opened_any:
+        raise HeaderUnavailableError(
+            "no instance header opened: verification runs only after the "
+            "coalition could reconstruct")
+    return verdicts
 
 
 def verify_shares(bundles: list[ShareBundle], secret: Secret) -> dict[int, int]:
@@ -556,27 +595,7 @@ def verify_shares(bundles: list[ShareBundle], secret: Secret) -> dict[int, int]:
     """
     if not bundles:
         raise HeaderUnavailableError("no bundles supplied")
-    p = bundles[0].params.lwe.p
-    verdicts = {b.party: 1 for b in bundles}
-    opened_any = False
-    for shares, header, trap in _opened_chains(bundles):
-        if header is None:
-            continue
-        opened_any = True
-        order, exps, n = header["order"], header["exponents"], trap.params.n
-        links = [(shares[p].a_matrix, shares[p].d_matrix) for p in order]
-        m_all, _ = lwe_invert(trap, _chain_walk(links, trap), check=False)
-        above = 1       # det of the S-power product strictly above j
-        for j in range(len(order) - 1, -1, -1):
-            det_j = det_int(m_all[:, j * n: (j + 1) * n]) % p
-            if det_j != above * pow(secret.k, exps[j], p) % p:
-                verdicts[order[j]] = 0
-            above = det_j
-    if not opened_any:
-        raise HeaderUnavailableError(
-            "no instance header opened: verification runs only after the "
-            "coalition could reconstruct")
-    return verdicts
+    return _verdicts_of(_read_chains(bundles), bundles, secret)
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,14 @@ def test_cli_setsys_verify_refuses_t_or_l_below_two(h15_file, capsys, flag):
     assert capsys.readouterr().err.startswith("invalid:")
 
 
+def test_cli_setsys_verify_refuses_samples_over_the_cell_budget(h15_file, capsys):
+    # C(783, 3) ~ 79.8 M triples fit under 10**15 samples, so every one was
+    # listed as a Python tuple; the (families, 3) array is over 2**26 cells
+    assert run_cli("setsys", "verify", str(h15_file), "--samples", str(10**15)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and "budget" in err
+
+
 def test_cli_set_systems_stay_within_the_cell_budget(tmp_path, capsys):
     # refused before allocating: n = 4 merges 66,048 sets over 5,730 elements,
     # n = 8 lists 8**8 sets over 86.7 M elements, n = 9 (9**9 sets) was

@@ -6,8 +6,6 @@ import pytest
 from veilshare.numt import Modulus
 from veilshare.setsys import SetSystem, build_grolmusz_system, merge_systems
 from veilshare.cover import (
-    attach_companion,
-    hop,
     iterated_union_form,
     multilinear_form,
     to_covering_family,
@@ -117,47 +115,3 @@ def test_iterated_union_form_matches_bitset_oracle(v15, h15):
         union = h15.sets[idx[1]] | h15.sets[idx[2]] | h15.sets[idx[3]]
         expect = int((h15.sets[idx[0]] & union).sum())
         assert iterated_union_form(v, ws) == expect
-
-
-@pytest.fixture(scope="module")
-def paired(v15):
-    h_prime = merge_systems(build_grolmusz_system(Modulus.of(105), 3), 2)
-    return attach_companion(v15, to_covering_family(h_prime))
-
-
-def test_companion_pairing(paired):
-    assert paired.companion is not None
-    assert len(paired) == len(paired.companion) == 783
-    for i in (0, 54, 782):
-        delta = paired.delta(i)
-        assert (paired.matrix[i] + delta == paired.companion.matrix[i]).all()
-
-
-def test_hop_identity_and_additivity(paired):
-    u = paired.vector(5)
-    v = paired.vector(9)
-    zero = np.zeros(paired.width, dtype=np.int64)
-    assert hop(u, v, zero) == int(u.entries @ v.entries)
-    delta = paired.delta(9)
-    out = hop(u, v, delta)
-    assert out == int(u.entries @ paired.companion.matrix[9])
-    # hop back
-    assert hop(u, paired.companion.vector(9), -delta) == int(u.entries @ v.entries)
-
-
-def test_hop_to_superset_grows_intersection(paired):
-    comp = paired.companion
-    sizes = comp.matrix.sum(axis=1)
-    small = int(np.flatnonzero(sizes == sizes.min())[0])
-    gram_col = comp.matrix @ comp.matrix[small]
-    supersets = np.flatnonzero((gram_col == sizes[small]) & (sizes > sizes[small]))
-    assert len(supersets) > 0
-    u = comp.vector(17)
-    base = multilinear_form([u, comp.vector(small)])
-    for sup in supersets[:5]:
-        assert multilinear_form([u, comp.vector(int(sup))]) >= base
-
-
-def test_hop_requires_companion(v15):
-    with pytest.raises(ValueError):
-        v15.delta(0)

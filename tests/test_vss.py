@@ -7,7 +7,8 @@ import pytest
 from veilshare import vss
 from veilshare.lattice import LweParams, det_int, find_q, lwe_invert, matmul_mod
 from veilshare.rng import named_stream
-from veilshare.sim import _corrupt_bundle
+from veilshare.sim import SimulationConfig, _corrupt_bundle, run_simulation
+from veilshare.tokens import token_id_bound
 from veilshare.vss import (
     HeaderUnavailableError,
     Secret,
@@ -16,7 +17,7 @@ from veilshare.vss import (
     UnauthorizedError,
     VssError,
     VssParams,
-    _opened_chains,
+    _read_chains,
     deal,
     max_share_size,
     reconstruct,
@@ -196,12 +197,18 @@ def _suffix_det_reference(shares, order, j, trap, check):
 
 
 def _verdicts_reference(bundles, secret):
-    """verify_shares with one chain walk and one inversion per suffix."""
+    """verify_shares with one chain walk and one inversion per suffix.
+
+    The reader opens each instance's header alone; its walk goes unused.
+    """
     verdicts = {b.party: 1 for b in bundles}
-    for shares, header, trap in _opened_chains(bundles):
-        if header is None:
+    for inst in bundles[0].instances:
+        shares = {b.party: b.instance(inst.instance_id) for b in bundles}
+        alone = [dataclasses.replace(b, instances=[shares[b.party]]) for b in bundles]
+        chain = next(_read_chains(alone), None)
+        if chain is None:
             continue
-        order, exps = header["order"], header["exponents"]
+        order, exps, trap, _ = chain
         above = 1
         for j in range(len(order) - 1, -1, -1):
             det_j = _suffix_det_reference(shares, order, j, trap, check=False)
@@ -217,8 +224,8 @@ def test_stacked_chain_walk_matches_the_per_suffix_reference():
     for gamma0, parties, seed in cases:
         bundles = deal(SECRET, gamma0, parties, PARAMS, seed=seed)
         assert verify_shares(bundles, SECRET) == _verdicts_reference(bundles, SECRET)
-        for _, header, _ in _opened_chains(bundles):
-            for party in header["order"]:
+        for order, _, _, _ in _read_chains(bundles):
+            for party in order:
                 for mode in ("encoding", "bitflip"):
                     rng = named_stream(seed, "forge", mode, party)
                     bad = [_corrupt_bundle(b, mode, rng) if b.party == party else b
@@ -231,8 +238,8 @@ def test_forged_middle_a_leaves_reconstruction_intact():
     # reconstruct decodes D_last ... D_0 A_0 alone, which never meets the
     # middle member's A, so only verification sees that forgery
     bundles = deal(SECRET, [(1, 2, 3)], 3, PARAMS, seed=4103)
-    [(_, header, _)] = _opened_chains(bundles)
-    middle = header["order"][1]
+    [(order, _, _, _)] = _read_chains(bundles)
+    middle = order[1]
     rng = named_stream(4103, "forge-a")
     bad = []
     for b in bundles:
@@ -256,12 +263,13 @@ def test_exponent_telescoping_and_error_growth():
                                      c_bound_milli=500 if len(omega) == 4 else 4000))
         bundles = deal(SECRET, [omega], len(omega), params, seed=4000 + len(omega))
         assert reconstruct(bundles) == SECRET
-        [(shares, header, trap)] = _opened_chains(bundles)
-        assert header is not None
+        [(order, _, trap, walk)] = _read_chains(bundles)
+        shares = {b.party: b.instances[0] for b in bundles}
         q = params.lwe.q
-        x = shares[header["order"][0]].a_matrix % q
-        for party in header["order"]:
+        x = shares[order[0]].a_matrix % q
+        for party in order:
             x = np.asarray(matmul_mod(shares[party].d_matrix, x, q), dtype=np.int64)
+        assert (walk[:, : params.lwe.n] == x).all()
         _, err = lwe_invert(trap, x)
         norms[len(omega)] = int(np.abs(err).max())
     assert all(v > 0 for v in norms.values())
@@ -332,10 +340,38 @@ def test_reader_rebuilds_the_dealers_terminal_trapdoor(seed, monkeypatch):
     # the chain's 4 trapdoors come first, then the 2 decoys'; A_4 is terminal
     assert len(made) == 6
     dealer = made[3]
-    [(_, header, trap)] = list(_opened_chains(coalition(bundles, [1, 2, 3])))
-    assert header is not None and "a_term" not in header
+    [(_, _, trap, _)] = _read_chains(coalition(bundles, [1, 2, 3]))
     assert (trap.A == dealer.A).all() and (trap.R == dealer.R).all()
     assert not trap.relation_residual().any()
+
+
+def _count_header_opens(monkeypatch):
+    opened, original = [], vss.open_header
+
+    def counting_open_header(candidate_keys, nonce, sealed):
+        opened.append(nonce)
+        return original(candidate_keys, nonce, sealed)
+
+    monkeypatch.setattr(vss, "open_header", counting_open_header)
+    return opened
+
+
+def test_a_simulated_trial_reads_its_coalition_once(monkeypatch):
+    # one read yields both the outcome and the verdicts: one header per trial
+    opened = _count_header_opens(monkeypatch)
+    report = run_simulation(SimulationConfig(parties=5, gamma0=((1, 2, 3),), mode="encoding",
+                                             trials=5, seed=5, params=PARAMS))
+    assert len(report.trials) == 5
+    assert len(opened) == 5
+
+
+def test_reconstruct_reads_no_chain_past_the_first_that_opens(monkeypatch):
+    # the full coalition opens the first chain; reading all three would open
+    # and walk two more, which the sweep-l6 tail would show
+    bundles = deal(SECRET, [(1, 2, 3), (2, 4, 5), (1, 6)], 6, PARAMS, seed=4104)
+    opened = _count_header_opens(monkeypatch)
+    assert reconstruct(bundles) == SECRET
+    assert len(opened) == 1
 
 
 def test_mixed_dealings_rejected(dealt):
@@ -370,13 +406,13 @@ def test_disjoint_token_is_unauthorized(dealt):
 
 def test_max_share_size_shape():
     assert max_share_size(2, 100, 10) % 2 == 0          # binom(2,1) = 2 factor
-    values = [max_share_size(l, PARAMS.lwe.q, 12950) for l in range(2, 9)]
+    values = [max_share_size(l, PARAMS.lwe.q, token_id_bound()) for l in range(2, 9)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_measured_shares_below_bound(dealt):
     blobs = serialize_bundles(dealt)
-    bound = max_share_size(5, PARAMS.lwe.q, 12950 + 5)
+    bound = max_share_size(5, PARAMS.lwe.q, token_id_bound())
     assert all(len(b) <= bound for b in blobs)
 
 
