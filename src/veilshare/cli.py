@@ -9,7 +9,6 @@ violated), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import decimal
 import sys
 
 
@@ -162,29 +161,8 @@ def cmd_tokens_test(args) -> int:
     return EXIT_OK if ok else EXIT_PROTOCOL
 
 
-def _c_bound_milli(text: str) -> int:
-    """--c-bound in thousandths, read exactly.
-
-    A float would turn 0.0004 into 0 thousandths and 1e308 into inf.
-    """
-    exact = decimal.Context(traps=[decimal.Inexact, decimal.InvalidOperation])
-    try:
-        milli = exact.scaleb(decimal.Decimal(text), 3)
-        whole = milli.is_finite() and milli == milli.to_integral_value()
-    except decimal.DecimalException:
-        whole = False
-    if not whole:
-        raise ValueError(f"c_bound {text!r} is not a finite whole number of thousandths")
-    # LweParams refuses anything above 1000 * q < 2**72; clamping first keeps int() cheap
-    return int(min(max(milli, 0), 2**72))
-
-
 def _vss_params(args) -> VssParams:
-    from .lattice import LweParams, find_q
-
-    lwe = LweParams(n=args.n, p=args.p, q=find_q(args.p, args.q_bits),
-                    lam=args.lam, c_bound_milli=_c_bound_milli(args.c_bound))
-    return VssParams(lwe)
+    return VssParams.desk(p=args.p, q_bits=args.q_bits, n=args.n)
 
 
 def cmd_deal(args) -> int:
@@ -302,11 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=31)
         p.add_argument("--q-bits", type=int, default=30)
         p.add_argument("--n", type=int, default=4)
-        p.add_argument("--lam", type=int, default=512,
-                       help="norm-cap parameter: caps are s*sqrt(lam), sigma*sqrt(lam)")
-        p.add_argument("--c-bound", default="4",
-                       help="inversion residual bound is q/(c_bound*p*d); "
-                            "a whole number of thousandths")
 
     d = seedable(sub.add_parser("deal"))
     d.add_argument("--secret", type=int, required=True)

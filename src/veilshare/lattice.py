@@ -20,6 +20,12 @@ differences b_{j+1} - 2 b_j lift to e_{j+1} - 2 e_j over the integers
 whenever errors stay below q/6, which recovers e_0 by one rounded
 division and then v itself.  No power-of-two modulus is needed.
 
+A profile is n, p and q alone.  The constants of the trapdoor analysis
+(Micciancio-Peikert, EUROCRYPT 2012) are fixed: the norm parameter
+LAM = 512 sets the caps s*sqrt(LAM) on errors and sigma*sqrt(LAM) on
+encodings, and C_BOUND = 4 sets the inversion residual bound
+q / (C_BOUND * p * d), rounded down and at least 1.
+
 Integer products are exact in one of three tiers (exact_matmul), chosen
 from the bound max|a| * max|b| * inner on every partial sum.  Below 2^53
 each partial sum is an integer that float64 holds exactly in any
@@ -33,7 +39,7 @@ Preimage sampling inverts the syndrome map d^T A = u^T by sampling one
 digit-lattice coset vector per secret coordinate with a randomized
 nearest-plane (Klein) walk over the standard gadget basis, then mapping
 through [R | I]^T.  Rejection against the norm caps keeps
-||d||_inf < sigma*sqrt(lambda) as the dealer requires.  Every basis
+||d||_inf < sigma*sqrt(LAM) as the dealer requires.  Every basis
 vector but the last (the bits of q) is 2 e_i - e_(i+1), so a plane's
 centre is its share of the target bits, projected once for all planes,
 less two GSO terms: one from the bits of q and one from the next plane.
@@ -60,9 +66,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numt import factorize, is_prime, is_primitive_root
+from .numt import euler_phi, is_prime, is_primitive_root
 
 PREIMAGE_RESAMPLES = 64          # preimage retries against the norm cap
+LAM = 512                        # norm parameter: caps are s*sqrt(LAM) and sigma*sqrt(LAM)
+C_BOUND = 4                      # inversion residual bound is q / (C_BOUND * p * d)
 PRIM_TRIES = 200_000             # rejection budget for secret sampling
 
 
@@ -137,13 +145,11 @@ def find_q(p: int, bits: int) -> int:
 
 @dataclass(frozen=True)
 class LweParams:
-    """Dimensions, moduli and width parameters for one trapdoor profile."""
+    """Dimension and moduli of one trapdoor profile; widths and caps follow from them."""
 
     n: int
     p: int
     q: int
-    lam: int = 512
-    c_bound_milli: int = 4000        # inversion residual bound is q / (c_bound * p * d)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -156,11 +162,6 @@ class LweParams:
             raise ValueError("q must be below 2**62 to keep chain products in int64")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.c_bound_milli <= 0:
-            raise ValueError("c_bound must be positive")
-        if self.c_bound_milli > 1000 * self.q:
-            # the residual bound sits at its floor of 1 long before this
-            raise ValueError("c_bound must be at most q")
 
     @property
     def d(self) -> int:
@@ -184,15 +185,15 @@ class LweParams:
 
     @property
     def error_cap(self) -> float:
-        return self.s * math.sqrt(self.lam)
+        return self.s * math.sqrt(LAM)
 
     @property
     def encoding_cap(self) -> float:
-        return self.sigma * math.sqrt(self.lam)
+        return self.sigma * math.sqrt(LAM)
 
     @property
     def inversion_bound(self) -> int:
-        return max(1, self.q * 1000 // (self.c_bound_milli * self.p * self.d))
+        return max(1, self.q // (C_BOUND * self.p * self.d))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +354,7 @@ def sample_gadget_cosets(rng: np.random.Generator, q: int, d: int, sigma_z: floa
         below = sample_dgauss_centered(rng, widths[i], centre)
         z[:, i] += 2 * below
         z[:, i + 1] -= below
-    check = (z @ gadget_powers(d)) % q
-    if not (check == targets).all():
+    if not (matmul_mod(z, gadget_powers(d), q) == targets).all():
         raise RuntimeError("coset sampling lost the syndrome")
     return z
 
@@ -535,8 +535,7 @@ def f_p_fraction(p: int, n: int) -> Fraction:
 
 def prim_acceptance_fraction(p: int, n: int) -> Fraction:
     """Fraction of n x n matrices over Z_p whose determinant generates Z_p^*."""
-    phi = math.prod((f - 1) * f ** (e - 1) for f, e in factorize(p - 1))
-    return phi * f_p_fraction(p, n)
+    return euler_phi(p - 1) * f_p_fraction(p, n)
 
 
 def batch_det_mod(mats: np.ndarray, p: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Canonical, self-describing serialization.
 
-Documents are JSON objects {"schema": <kind>, "version": 5, "payload": ...}
+Documents are JSON objects {"schema": <kind>, "version": 6, "payload": ...}
 rendered with sorted keys and no whitespace, so a fixed input always
 produces the same bytes.  Integers are arbitrary precision; floats are
 refused outright to keep byte output platform independent.  Documents of
@@ -32,7 +32,7 @@ import json
 
 import numpy as np
 
-VERSION = 5
+VERSION = 6
 RICE_BITS = 31                   # Rice-coded magnitudes lie below 2**RICE_BITS
 
 KNOWN_SCHEMAS = {
@@ -276,12 +276,16 @@ def doc_set_system(payload: dict):
     from .numt import Modulus
     from .setsys import SetSystem, require_cells
 
+    fields = {"m", "universe_size", "sets", "labels", "t", "l"}
+    if not isinstance(payload, dict) or not payload.keys() <= fields:
+        raise SerializationError(f"set-system fields must lie in {', '.join(sorted(fields))}")
     try:
-        h = int(payload["universe_size"])
-        rows = payload["sets"]
-        m = int(payload["m"])
-    except (KeyError, TypeError, ValueError) as exc:
+        h, rows, m = payload["universe_size"], payload["sets"], payload["m"]
+    except KeyError as exc:
         raise SerializationError("set-system document is missing fields") from exc
+    # type() is int refuses the strings, floats and booleans int() would take
+    if type(h) is not int or type(m) is not int:
+        raise SerializationError("set-system m and universe_size must be integers")
     labels = payload.get("labels", [])
     if not isinstance(rows, list) or not isinstance(labels, list):
         raise SerializationError("set-system sets and labels must be lists")

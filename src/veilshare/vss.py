@@ -128,19 +128,17 @@ class VssParams:
         return cls(LweParams(n=n, p=p, q=find_q(p, q_bits)))
 
     def to_doc(self) -> dict:
-        return {"n": self.lwe.n, "p": self.lwe.p, "q": self.lwe.q, "lam": self.lwe.lam,
-                "c_bound_milli": self.lwe.c_bound_milli}
+        return {"n": self.lwe.n, "p": self.lwe.p, "q": self.lwe.q}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "VssParams":
-        fields = ("n", "p", "q", "lam", "c_bound_milli")
+        fields = ("n", "p", "q")
         # type() is int refuses JSON booleans, which isinstance would let through
         if not isinstance(doc, dict) or doc.keys() != set(fields) \
                 or any(type(doc[f]) is not int for f in fields):
             raise serial.SerializationError(
                 f"params must be exactly the integers {', '.join(fields)}")
-        return cls(LweParams(n=doc["n"], p=doc["p"], q=doc["q"], lam=doc["lam"],
-                             c_bound_milli=doc["c_bound_milli"]))
+        return cls(LweParams(n=doc["n"], p=doc["p"], q=doc["q"]))
 
 
 KEY_SHARE_BYTES = 32
@@ -357,12 +355,6 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
         exps = _draw_exponents(rng, len(order), p)
         s_mat = sample_prim_secret(n, p, rng, det_value=secret.k)
         s_pows = [matrix_power_mod(s_mat, e, p) for e in exps]
-
-        product = np.eye(n, dtype=object)
-        for s_pow in s_pows:
-            product = s_pow.astype(object) @ product
-        if max(abs(int(v)) for v in product.flat) >= q:
-            raise VssError("chain too long for q: secret product entries reach q")
 
         chain = [trapdoor_gen(lwe, rng=rng) for _ in range(len(order) + 1)]
         outsiders = [party for party in range(1, parties + 1) if party not in omega]

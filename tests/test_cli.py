@@ -36,7 +36,7 @@ from veilshare.vss import (
 
 def test_empty_report_fixed_bytes():
     blob = serial.serialize("empty-report", {})
-    assert blob == b'{"payload":{},"schema":"empty-report","version":5}\n'
+    assert blob == b'{"payload":{},"schema":"empty-report","version":6}\n'
     assert serial.deserialize(blob, "empty-report") == {}
 
 
@@ -62,11 +62,13 @@ def test_version_and_schema_mismatch():
     doc["version"] = 9
     with pytest.raises(serial.SerializationError):
         serial.deserialize(json.dumps(doc).encode())
-    # every version-4 document is refused, whatever its kind
+    # every version-4 or version-5 document is refused, whatever its kind
     for kind in ("share-bundle", "token-instance", "set-system"):
-        old = json.dumps({"schema": kind, "version": 4, "payload": {}}).encode()
-        with pytest.raises(serial.SerializationError, match="unsupported version 4"):
-            serial.deserialize(old, kind)
+        for version in (4, 5):
+            old = json.dumps({"schema": kind, "version": version, "payload": {}}).encode()
+            with pytest.raises(serial.SerializationError,
+                               match=f"unsupported version {version}"):
+                serial.deserialize(old, kind)
     with pytest.raises(serial.SerializationError):
         serial.serialize("no-such-kind", {})
     with pytest.raises(serial.SerializationError):
@@ -368,10 +370,13 @@ def test_cli_setsys_verify_rejects_malformed_files(tmp_path, capsys):
             "sets": [list(range(15)), list(range(15, 30))], "labels": [], "t": 2}
     # a prime modulus of 2**61-1 would stall trial division for minutes
     # a universe of 10**15 or 2**62 elements would be allocated before any set is read
+    # m and universe_size are JSON integers, and no field lies outside the
+    # schema: int() read "15" and 15.9 as 15, and the extra field was ignored
     for change in ({"m": 2**61 - 1}, {"labels": 5}, {"sets": [[1.5, 2]]},
                    {"sets": [[1, True]]}, {"sets": 5},
                    {"universe_size": 10**15, "sets": [[1, 2]]},
-                   {"universe_size": 2**62, "sets": [[1, 2]]}):
+                   {"universe_size": 2**62, "sets": [[1, 2]]},
+                   {"m": "15"}, {"m": 15.9}, {"universe_size": "30"}, {"extra": 1}):
         # plain json.dumps, since serialize refuses to write the float
         (tmp_path / "bad.json").write_text(json.dumps(
             {"schema": "set-system", "version": serial.VERSION,
@@ -659,22 +664,14 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         assert_invalid("verify", "--shares", shares, "--secret", "3",
                        reason="token elements")
 
-    # parameters that would divide by zero or overflow int64 in the chain walk
+    # a q that would overflow int64 in the chain walk, and q below p
+    # (q = -31 is p*c with p not dividing c)
     def params(payload):
         return payload["params"]
-    for field, value in (("c_bound_milli", 0), ("q", 31 * 2**70 + 31)):
+    for value, reason in ((31 * 2**70 + 31, "q must be below 2**62"),
+                          (-31, "q must be at least p")):
         def change(doc):
-            doc[field] = value
-        shares = [rewritten(f, change, params) for f in files[:3]]
-        assert_invalid("reconstruct", "--shares", ",".join(shares), reason="must be")
-        assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
-                       reason="must be")
-
-    # q below p (q = -31 is p*c with p not dividing c) and a bound past its floor
-    for field, value, reason in (("q", -31, "q must be at least p"),
-                                 ("c_bound_milli", 2**70, "c_bound must be at most q")):
-        def change(doc):
-            doc[field] = value
+            doc["q"] = value
         shares = [rewritten(f, change, params) for f in files[:3]]
         assert_invalid("reconstruct", "--shares", ",".join(shares), reason=reason)
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
@@ -696,10 +693,12 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
     assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
                    reason="2**32")
 
-    # params are exactly five integers: no JSON booleans, floats or extra fields
-    for field, value in (("n", True), ("p", 31.0), ("token_m", 39)):
+    # params are exactly n, p and q as integers: no JSON booleans, floats or
+    # extra fields, and not the norm and bound settings an earlier profile carried
+    for extra in ({"n": True}, {"p": 31.0}, {"token_m": 39},
+                  {"lam": 512, "c_bound_milli": 4000}):
         def change(doc):
-            doc[field] = value
+            doc.update(extra)
         shares = [rewritten(f, change, params) for f in files[:3]]
         assert_invalid("reconstruct", "--shares", ",".join(shares), reason="params")
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
@@ -742,7 +741,7 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         "outcome": "header-unavailable"}
 
     # shares of an earlier version are refused as such, not misread
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         doc = json.loads(Path(files[0]).read_bytes())
         doc["version"] = version
         bad.write_bytes(json.dumps(doc).encode())
@@ -874,25 +873,23 @@ def test_cli_instance_id_must_be_a_string(tmp_path, capsys):
     assert "instance_id" in capsys.readouterr().err
 
 
-def test_cli_simulate_rejects_nonpositive_c_bound(capsys):
-    assert run_cli("--quiet", "simulate", "--trials", "1", "--c-bound", "0") == 2
-    assert "c_bound must be positive" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", [
     ["deal", "--secret", "3", "--gamma0", "1,2", "--parties", "2"],
     ["simulate", "--trials", "1"],
 ])
-@pytest.mark.parametrize("value,reason", [
-    ("0.0004", "whole number of thousandths"),    # a float would store 0
-    ("inf", "whole number of thousandths"),
-    ("1e308", "c_bound must be at most q"),        # a float would overflow on write
+@pytest.mark.parametrize("flag,value", [
+    ("--lam", "8"),            # ended in "preimage resampling cap exceeded"
+    ("--lam", "-5"),           # ended in "math domain error"
+    ("--c-bound", "0"),
+    ("--c-bound", "0.0004"),
+    ("--c-bound", "inf"),
+    ("--c-bound", "1e308"),
 ])
-def test_cli_c_bound_is_whole_thousandths(tmp_path, capsys, command, value, reason):
+def test_cli_removed_profile_flags_exit_2(tmp_path, capsys, command, flag, value):
+    # the norm and bound settings are constants of lattice, not flags
     outdir = ["--outdir", str(tmp_path / "out")] if command[0] == "deal" else []
-    assert run_cli("--quiet", *command, *outdir, "--c-bound", value) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid:") and reason in err
+    assert run_cli("--quiet", *command, *outdir, flag, value) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -901,6 +898,17 @@ def test_cli_q_bits_below_p(tmp_path, capsys):
     assert run_cli("--quiet", "deal", "--secret", "3", "--gamma0", "1,2", "--parties", "2",
                    "--q-bits", "4", "--outdir", str(tmp_path / "out")) == 2
     assert "q_bits 4 is too small" in capsys.readouterr().err
+
+
+def test_cli_deals_and_reconstructs_at_61_bits(tmp_path, capsys):
+    # the coset sampler's syndrome check wrapped in int64 once |z_j| * 2^(d-1)
+    # reached 2^63, and deal ended in "coset sampling lost the syndrome"
+    outdir = tmp_path / "shares"
+    assert run_cli("--seed", "1", "--quiet", "deal", "--secret", "3", "--gamma0", "1,2",
+                   "--parties", "3", "--q-bits", "61", "--outdir", str(outdir)) == 0
+    shares = ",".join(str(outdir / f"share_{i:03d}.json") for i in (1, 2))
+    assert run_cli("reconstruct", "--shares", shares) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["secret"] == 3
 
 
 def test_pad_marker_collision_guard():

@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from veilshare import vss
-from veilshare.lattice import LweParams, det_int, find_q, lwe_invert, matmul_mod
+from veilshare import serial, vss
+from veilshare.lattice import LweParams, det_int, lwe_invert, matmul_mod
 from veilshare.rng import named_stream
 from veilshare.sim import SimulationConfig, _corrupt_bundle, run_simulation
 from veilshare.tokens import token_id_bound
@@ -82,7 +82,6 @@ def test_share_bundle_bytes_equal(dealt):
     lengths = {len(b) for b in blobs}
     assert len(lengths) == 1
     # and the padded docs round trip to the identical bytes
-    from veilshare import serial
     back = [ShareBundle.from_doc(serial.deserialize(b, "share-bundle")) for b in blobs]
     assert back[0].party == dealt[0].party
     assert (back[0].instances[0].a_matrix == dealt[0].instances[0].a_matrix).all()
@@ -259,8 +258,7 @@ def test_exponent_telescoping_and_error_growth():
     # the accumulated error stays finite and grows with the chain
     norms = {}
     for omega, bits in [((1, 2), 30), ((1, 2, 3), 30), ((1, 2, 3, 4), 40)]:
-        params = VssParams(LweParams(n=4, p=31, q=find_q(31, bits),
-                                     c_bound_milli=500 if len(omega) == 4 else 4000))
+        params = VssParams.desk(q_bits=bits)
         bundles = deal(SECRET, [omega], len(omega), params, seed=4000 + len(omega))
         assert reconstruct(bundles) == SECRET
         [(order, _, trap, walk)] = _read_chains(bundles)
@@ -315,10 +313,13 @@ def test_deal_redraws_a_chain_until_it_opens(monkeypatch):
 
 
 def test_params_doc_roundtrip():
-    base = VssParams.desk().to_doc()
-    for milli in range(1, 5001):
-        doc = {**base, "c_bound_milli": milli}
-        assert VssParams.from_doc(doc).to_doc() == doc
+    for params in (VssParams.desk(), VssParams.desk(p=7, q_bits=20, n=2)):
+        doc = params.to_doc()
+        assert doc.keys() == {"n", "p", "q"}
+        assert VssParams.from_doc(doc) == params
+    # the five-field profile of share format 5 is refused
+    with pytest.raises(serial.SerializationError, match="exactly the integers n, p, q"):
+        VssParams.from_doc({**VssParams.desk().to_doc(), "lam": 512, "c_bound_milli": 4000})
 
 
 def test_entry_overflow_rejected():
