@@ -121,7 +121,6 @@ def cmd_tokens_gen(args) -> int:
     payload = {
         "instance_id": instance.instance_id,
         "parties": instance.party_count,
-        "m": instance.m,
         "tokens": {str(p): sorted(instance.token_for(p))
                    for p in range(1, instance.party_count + 1)},
     }
@@ -133,15 +132,14 @@ def cmd_tokens_gen(args) -> int:
 def cmd_tokens_test(args) -> int:
     payload = serial.deserialize(_read(args.file), "token-instance")
     subset = _parse_subset(args.subset)
-    fields = {"instance_id", "parties", "m", "tokens"}
+    fields = {"instance_id", "parties", "tokens"}
     if not isinstance(payload, dict) or payload.keys() != fields:
         raise serial.SerializationError(
             f"token file must be exactly the fields {', '.join(sorted(fields))}")
-    tokens, m = payload["tokens"], payload["m"]
-    if not isinstance(tokens, dict) or not isinstance(payload["instance_id"], str) \
-            or type(m) is not int or m < 2:
+    tokens = payload["tokens"]
+    if not isinstance(tokens, dict) or not isinstance(payload["instance_id"], str):
         raise serial.SerializationError(
-            "token file needs a tokens map, a string instance_id and an integer m >= 2")
+            "token file needs a tokens map and a string instance_id")
     if not subset or any(str(p) not in tokens for p in subset):
         raise ValueError("subset must name parties present in the token file")
     elements = [tokens[str(p)] for p in subset]
@@ -152,11 +150,10 @@ def cmd_tokens_test(args) -> int:
     if min(ids) < 0:
         raise serial.SerializationError("token elements must be nonnegative")
     # the bound InstanceShare.from_doc puts on the default system's tokens
-    if m == DEFAULT_M and max(ids) >= token_id_bound():
-        raise serial.SerializationError(
-            f"token elements must lie below {token_id_bound()} when m is {DEFAULT_M}")
+    if max(ids) >= token_id_bound():
+        raise serial.SerializationError(f"token elements must lie below {token_id_bound()}")
     combined = combine_tokens([frozenset(e) for e in elements])
-    ok = membership_test(combined, m)
+    ok = membership_test(combined, DEFAULT_M)
     _emit(args, "empty-report", {"subset": list(subset), "authorized": ok})
     return EXIT_OK if ok else EXIT_PROTOCOL
 
@@ -245,20 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--quiet", action="store_true")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def seedable(parser):
-        parser.add_argument("--seed", type=int, default=None, dest="seed_override",
-                            help="override the global --seed")
-        return parser
-
     ss = sub.add_parser("setsys").add_subparsers(dest="action", required=True)
-    b = seedable(ss.add_parser("build"))
+    b = ss.add_parser("build")
     b.add_argument("--m", type=int, default=15)
     b.add_argument("--n", type=int, default=3)
     b.add_argument("--l", type=int, default=2)
     b.add_argument("--t", type=int, default=3)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_setsys_build)
-    v = seedable(ss.add_parser("verify"))
+    v = ss.add_parser("verify")
     v.add_argument("file")
     v.add_argument("--t", type=int, default=None)
     v.add_argument("--l", type=int, default=None)
@@ -266,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_setsys_verify)
 
     tk = sub.add_parser("tokens").add_subparsers(dest="action", required=True)
-    g = seedable(tk.add_parser("gen"))
+    g = tk.add_parser("gen")
     g.add_argument("--parties", type=int, required=True)
     g.add_argument("--omega", required=True)
     g.add_argument("--out", required=True)
@@ -281,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q-bits", type=int, default=30)
         p.add_argument("--n", type=int, default=4)
 
-    d = seedable(sub.add_parser("deal"))
+    d = sub.add_parser("deal")
     d.add_argument("--secret", type=int, required=True)
     d.add_argument("--gamma0", required=True, help='e.g. "1,2,3;2,4,5"')
     d.add_argument("--parties", type=int, required=True)
@@ -298,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--secret", type=int, required=True)
     ver.set_defaults(func=cmd_verify)
 
-    s = seedable(sub.add_parser("simulate"))
+    s = sub.add_parser("simulate")
     s.add_argument("--trials", type=int, default=200)
     s.add_argument("--malicious", type=int, default=1)
     s.add_argument("--mode", choices=["encoding", "bitflip", "token"],
@@ -319,8 +311,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "seed_override", None) is not None:
-        args.seed = args.seed_override
     try:
         return args.func(args)
     except ProtocolFailure as exc:

@@ -12,21 +12,11 @@ touching the underlying sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numt import Modulus
 from .setsys import SetSystem
-
-
-@dataclass(frozen=True)
-class CoveringVector:
-    entries: np.ndarray          # length-h int64, values in [0, m)
-    source: int                  # index of the represented set
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=np.int64))
 
 
 class VectorFamily:
@@ -43,8 +33,9 @@ class VectorFamily:
     def width(self) -> int:
         return self.matrix.shape[1]
 
-    def vector(self, i: int) -> CoveringVector:
-        return CoveringVector(self.matrix[i], i)
+    def vector(self, i: int) -> np.ndarray:
+        """Row i: the length-h int64 covering vector of member set i."""
+        return self.matrix[i]
 
     def inner_products(self) -> np.ndarray:
         """All pairwise inner products over the integers, (N, N)."""
@@ -64,7 +55,7 @@ def to_covering_family(system: SetSystem) -> VectorFamily:
 
 def multilinear_form(vs: list) -> int:
     """Exact integer sum_i v_1[i] * ... * v_k[i]; counts k-fold intersections."""
-    arrays = [np.asarray(getattr(v, "entries", v), dtype=np.int64) for v in vs]
+    arrays = [np.asarray(v, dtype=np.int64) for v in vs]
     if not arrays:
         raise ValueError("need at least one vector")
     width = arrays[0].shape[0]

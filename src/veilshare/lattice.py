@@ -29,11 +29,13 @@ q / (C_BOUND * p * d), rounded down and at least 1.
 Integer products are exact in one of three tiers (exact_matmul), chosen
 from the bound max|a| * max|b| * inner on every partial sum.  Below 2^53
 each partial sum is an integer that float64 holds exactly in any
-summation order, so the product runs in float64 BLAS; below 2^62 it runs
-in int64, which numpy multiplies without BLAS; beyond that in Python
-ints.  A chain product at the desk profile has q < 2^30, |D| < 2^8 and
-inner w = 124, so it stays below 2^45; at q_bits 38 to 46 it falls back
-to int64, and from 47 on to Python ints.
+summation order, so a matrix product runs in float64 BLAS; below 2^62 it
+runs in int64, which numpy multiplies without BLAS; beyond that in
+Python ints.  A matrix-vector product, such as the coset syndrome check,
+skips float64: converting a would copy all of it for one output column.
+A chain product at the desk profile has q < 2^30, |D| < 2^8 and inner
+w = 124, so it stays below 2^45; at q_bits 38 to 46 it falls back to
+int64, and from 47 on to Python ints.
 
 Preimage sampling inverts the syndrome map d^T A = u^T by sampling one
 digit-lattice coset vector per secret coordinate with a randomized
@@ -93,16 +95,17 @@ def _max_abs(x: np.ndarray) -> int:
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the integers, in the cheapest dtype that neither rounds nor wraps.
 
-    Every partial sum is bounded by max|a| * max|b| * inner: below 2^53 the
-    product runs in float64 BLAS, below 2^62 in int64, beyond in Python ints.
+    Every partial sum is bounded by max|a| * max|b| * inner: below 2^53 a
+    matrix product runs in float64 BLAS, below 2^62 in int64, beyond in
+    Python ints.  A matrix-vector product skips float64.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     bound = _max_abs(a) * _max_abs(b) * a.shape[-1]
-    if bound < 2**53:
+    if bound < 2**53 and b.ndim == 2:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     if bound < 2**62:
-        return a.astype(np.int64) @ b.astype(np.int64)
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return a.astype(object) @ b.astype(object)
 
 
@@ -623,11 +626,11 @@ def modswitch_roundtrip(a: np.ndarray, q: int, q_prime: int, p: int) -> bool:
     return bool((up == a).all() and (down == a).all())
 
 
-def find_modswitch_pair(p: int, start: int = 1000) -> tuple[int, int]:
-    """Smallest compliant (q, q') = (p*c, p*c') with c' >= start."""
+def find_modswitch_pair(p: int) -> tuple[int, int]:
+    """Smallest compliant (q, q') = (p*c, p*c') with c' >= 1000."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    c_prime = start
+    c_prime = 1000
     while True:
         low = (c_prime * (2 * p - 1)) // (2 * p) + 1
         high = -(-c_prime * 2 * p // (2 * p + 1)) - 1

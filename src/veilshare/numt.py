@@ -113,10 +113,10 @@ class Modulus:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factorization)
 
-    def require_odd_squarefree(self, min_primes: int = 2):
-        """Raise unless m is squarefree with at least min_primes odd prime divisors."""
-        if len(self.factorization) < min_primes:
-            raise ValueError(f"modulus {self.m} needs at least {min_primes} prime divisors")
+    def require_odd_squarefree(self):
+        """Raise unless m is squarefree with at least two odd prime divisors."""
+        if len(self.factorization) < 2:
+            raise ValueError(f"modulus {self.m} needs at least 2 prime divisors")
         for p, a in self.factorization:
             if a != 1:
                 raise ValueError(f"modulus {self.m} is not squarefree")

@@ -83,7 +83,8 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def deserialize(data: bytes, expect_kind: str | None = None):
+def deserialize(data: bytes, expect_kind: str):
+    """The payload of a document of kind expect_kind; anything else is refused."""
     try:
         doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -92,9 +93,7 @@ def deserialize(data: bytes, expect_kind: str | None = None):
         raise SerializationError("document must carry schema, version and payload")
     if doc["version"] != VERSION:
         raise SerializationError(f"unsupported version {doc['version']!r}")
-    if doc["schema"] not in KNOWN_SCHEMAS:
-        raise SerializationError(f"unknown schema kind {doc['schema']!r}")
-    if expect_kind is not None and doc["schema"] != expect_kind:
+    if doc["schema"] != expect_kind:
         raise SerializationError(
             f"expected schema {expect_kind!r}, found {doc['schema']!r}")
     return doc["payload"]

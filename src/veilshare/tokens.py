@@ -16,8 +16,9 @@ tokens never identify Omega, and re-running with a fresh gamma rewrites
 every token while preserving all verdicts.
 
 Soundness needs the largest prime divisor of m to exceed
-l + |Omega| + kappa, so the default token system is built and tested over
-the one modulus m = 39 = 3*13, hosting |Omega| up to 8.
+l + |Omega| + KAPPA, where the tag pad KAPPA is fixed at 2, so the
+default token system is built and tested over the one modulus
+m = 39 = 3*13, hosting |Omega| up to 8.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .setsys import SetSystem, build_grolmusz_system, merge_layout, merge_system
 DEFAULT_M = 39
 DEFAULT_N = 3
 DEFAULT_L = 2
+KAPPA = 2               # tag elements beyond |Omega| in every token universe
 
 
 class TokenEncodingError(ValueError):
@@ -46,7 +48,6 @@ class AccessStructureInstance:
     instance_id: str
     party_count: int
     omega: tuple[int, ...]
-    kappa: int
     m: int
     h_set: frozenset[int]              # the designated set H
     h_zero: frozenset[int]             # H_0 = H_partial joined with all tags
@@ -79,8 +80,8 @@ def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M,
 def token_id_bound() -> int:
     """One past the largest element id a default token can hold.
 
-    Ids permute the universe plus |Omega| + kappa tag elements, and
-    encode_access_structure keeps l + |Omega| + kappa below the largest
+    Ids permute the universe plus |Omega| + KAPPA tag elements, and
+    encode_access_structure keeps l + |Omega| + KAPPA below the largest
     prime of m.
     """
     system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
@@ -104,7 +105,6 @@ def _encoding_structure(system: SetSystem):
 
 def encode_access_structure(party_count: int, omega, system: SetSystem,
                             rng: np.random.Generator,
-                            kappa: int | None = None,
                             instance_id: str | None = None) -> AccessStructureInstance:
     """Assign member sets to parties so coalitions intersect to H iff authorized.
 
@@ -112,9 +112,9 @@ def encode_access_structure(party_count: int, omega, system: SetSystem,
     which are proper subsets of exactly s^(l-1) members (the unions that
     pick them) and proper supersets of none; those unions supply the
     other parties.  Tag elements beyond the universe give each Omega-party
-    a punched tail.  kappa defaults to 2 and must keep l + |Omega| + kappa
-    below the largest prime divisor of m, which is what pins unauthorized
-    intersection sizes away from 0 mod m.
+    a punched tail.  l + |Omega| + KAPPA must stay below the largest prime
+    divisor of m, which is what pins unauthorized intersection sizes away
+    from 0 mod m.
     """
     omega = tuple(sorted(set(int(i) for i in omega)))
     if not omega:
@@ -125,12 +125,10 @@ def encode_access_structure(party_count: int, omega, system: SetSystem,
 
     max_prime = max(system.modulus.primes)
     k = len(omega)
-    if kappa is None:
-        kappa = 2
-    if kappa < 1 or merge_l + k + kappa >= max_prime:
+    if merge_l + k + KAPPA >= max_prime:
         raise TokenEncodingError(
             f"no valid pad: need l + |Omega| + kappa < {max_prime}, "
-            f"got l={merge_l}, |Omega|={k}, kappa={kappa}")
+            f"got l={merge_l}, |Omega|={k}, kappa={KAPPA}")
 
     h_idx = int(rng.choice(candidates))
     superset_idx = supersets[h_idx]
@@ -139,7 +137,7 @@ def encode_access_structure(party_count: int, omega, system: SetSystem,
             f"need at least {party_count + 1} supersets, have {len(superset_idx)}")
 
     base_h = system.universe_size
-    universe = base_h + k + kappa
+    universe = base_h + k + KAPPA
     tags = list(range(base_h, universe))     # tag j is tags[j-1]
 
     def member(row_idx) -> frozenset[int]:
@@ -172,7 +170,7 @@ def encode_access_structure(party_count: int, omega, system: SetSystem,
 
     return AccessStructureInstance(
         instance_id=instance_id, party_count=party_count, omega=omega,
-        kappa=kappa, m=system.modulus.m, h_set=h_set, h_zero=h_zero,
+        m=system.modulus.m, h_set=h_set, h_zero=h_zero,
         assigned_sets=assigned, gamma=gamma,
     )
 

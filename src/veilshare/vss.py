@@ -594,24 +594,13 @@ def verify_shares(bundles: list[ShareBundle], secret: Secret) -> dict[int, int]:
 # share-size bound
 
 
-def isqrt_ceil(x: int) -> int:
-    r = math.isqrt(x)
-    return r if r * r == x else r + 1
+C_H = 8                  # the bound's constant factor on the token universe h
 
 
-def max_share_size(parties: int, q: int, h: int, rho: float = 0.5,
-                   c_h: int = 8) -> int:
-    """Byte bound binom(l, l/2) * (sqrt(q) (2 q^rho + 1) + c_h * h).
+def max_share_size(parties: int, q: int, h: int) -> int:
+    """Byte bound binom(l, l/2) * (sqrt(q) (2 q^rho + 1) + C_H * h) at rho = 1/2.
 
-    rho in {0.5, 1} is evaluated in exact integers; other exponents use
-    a ceiling on the float power.
+    Both square roots are rounded up, so the bound is exact in integers.
     """
-    if rho > 1:
-        raise ValueError("rho must be at most 1")
-    if rho == 0.5:
-        q_rho = isqrt_ceil(q)
-    elif rho == 1:
-        q_rho = q
-    else:
-        q_rho = math.ceil(q**rho)
-    return math.comb(parties, parties // 2) * (isqrt_ceil(q) * (2 * q_rho + 1) + c_h * h)
+    root = math.isqrt(q - 1) + 1            # ceil(sqrt(q)) for q >= 1
+    return math.comb(parties, parties // 2) * (root * (2 * root + 1) + C_H * h)

@@ -344,7 +344,7 @@ def test_criterion_09_share_size_bound():
             blobs = serialize_bundles(bundles)
             # token system universe plus |Omega| + kappa tags
             universe = default_token_systems().universe_size + 3 + 2
-            bound = max_share_size(5, params.lwe.q, universe, rho=0.5)
+            bound = max_share_size(5, params.lwe.q, universe)
             return {"lengths": [len(b) for b in blobs], "bound": bound}
 
         payload, _ = deterministic("empty-report", build)

@@ -1,5 +1,11 @@
 """Attacks on access-structure hiding, run as a coalition would run them.
 
+Two attacks need no coalition: one solves a share's public matrix for
+its trapdoor, the other reads a party's role off its token size.  Both
+still succeed, so each is a strict xfail naming the ROADMAP item that
+fixes it: the run fails once an attack stops working, and the fix
+removes the marker.
+
 Each instance's header is sealed under SHA-256(domain | K2 | gamma(H)),
 where K2 is the XOR of the Omega members' key shares.  Every token is a
 superset of gamma(H), so a coalition guesses gamma(H) by dropping
@@ -11,8 +17,10 @@ run by Omega itself must.
 
 import itertools
 
+import numpy as np
 import pytest
 
+from veilshare.lattice import TrapdoorMatrix, centered, det_int, gadget_matrix
 from veilshare.rng import named_stream
 from veilshare.tokens import combine_tokens
 from veilshare.vss import (
@@ -26,6 +34,56 @@ from veilshare.vss import (
 )
 
 CAP = 2**12
+
+
+def inverse_mod(mat, q):
+    """mat^-1 mod q through the adjugate, or None when det(mat) is no unit mod q."""
+    n = mat.shape[0]
+    try:
+        det_inv = pow(det_int(mat) % q, -1, q)
+    except ValueError:
+        return None
+    adj = [[(-1) ** (i + j) * det_int(np.delete(np.delete(mat, i, 0), j, 1))
+            for i in range(n)] for j in range(n)]
+    return np.array(adj, dtype=object) * det_inv % q
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: a share's A gives away its R")
+def test_no_share_gives_away_its_trapdoor_from_a():
+    # A = [A_bar; G - R A_bar], so R = (G - A_bottom) A_bar^-1 wherever A_bar
+    # is invertible mod q; a share gives R away when that R is short
+    params = VssParams.desk()
+    lwe = params.lwe
+    g = gadget_matrix(lwe.n, lwe.d).astype(object)
+    recovered = []
+    for seed in range(10):
+        for bundle in deal(Secret(3, 31), [(1, 2, 3)], 5, params, seed=seed):
+            a = bundle.instances[0].a_matrix
+            a_bar_inv = inverse_mod(a[:lwe.w_bar].astype(object), lwe.q)
+            if a_bar_inv is None:
+                continue
+            r = centered((g - a[lwe.w_bar:].astype(object)).dot(a_bar_inv) % lwe.q, lwe.q)
+            r = r.astype(np.int64)
+            if np.abs(r).max() < lwe.error_cap \
+                    and not TrapdoorMatrix(lwe, a, r).relation_residual().any():
+                recovered.append((seed, bundle.party))
+    assert not recovered, f"{len(recovered)} of 50 shares gave away R"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: token size gives away role")
+def test_token_size_does_not_give_away_role():
+    # learn the sizes outsiders' tokens take on 20 dealings, then call every
+    # other size a member's on 20 fresh ones; chance is 3 of 6 per dealing
+    omega, parties = (1, 2, 3), 6
+
+    def sizes(seeds):
+        for seed in seeds:
+            for bundle in deal(Secret(3, 31), [omega], parties, VssParams.desk(), seed=seed):
+                yield len(bundle.instances[0].token), bundle.party in omega
+
+    outsider_sizes = {size for size, member in sizes(range(20)) if not member}
+    guesses = [(size not in outsider_sizes) == member for size, member in sizes(range(20, 40))]
+    assert sum(guesses) <= 0.6 * len(guesses), f"{sum(guesses)} of {len(guesses)} roles guessed"
 
 
 def dealings():

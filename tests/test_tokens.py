@@ -9,6 +9,7 @@ from veilshare.tokens import (
     DEFAULT_L,
     DEFAULT_M,
     DEFAULT_N,
+    KAPPA,
     TokenEncodingError,
     combine_tokens,
     default_token_systems,
@@ -33,9 +34,9 @@ def all_subsets(parties):
         yield from itertools.combinations(range(1, parties + 1), r)
 
 
-def encode(system, parties, omega, seed, **kw):
+def encode(system, parties, omega, seed):
     rng = named_stream(seed, "tokens-test", parties, omega)
-    return encode_access_structure(parties, omega, system, rng, **kw)
+    return encode_access_structure(parties, omega, system, rng)
 
 
 def test_default_systems_have_restricted_intersections_under_both_moduli(system):
@@ -152,23 +153,14 @@ def test_permutation_invariance(system):
 
 
 def test_kappa_constraint(system):
-    # default kappa = 2 needs l + |Omega| + 2 < 13, so |Omega| <= 8
+    # KAPPA = 2 needs l + |Omega| + 2 < 13, so |Omega| <= 8
+    assert KAPPA == 2
     inst = encode(system, 8, tuple(range(1, 9)), seed=9)
-    assert inst.kappa == 2
-    with pytest.raises(TokenEncodingError):
-        encode(system, 12, tuple(range(1, 12)), seed=9)
-    with pytest.raises(TokenEncodingError):
-        encode(system, 5, (1, 2, 3), seed=9, kappa=9)
-
-
-def test_explicit_small_kappa_extends_reach(system):
-    # default kappa=2 refuses a 9-member structure; kappa=1 still fits the bound
+    assert subset_is_authorized(inst, range(1, 9)) is True
     with pytest.raises(TokenEncodingError):
         encode(system, 9, tuple(range(1, 10)), seed=77)
-    inst = encode(system, 9, tuple(range(1, 10)), seed=77, kappa=1)
-    assert inst.kappa == 1
-    assert subset_is_authorized(inst, range(1, 10)) is True
-    assert subset_is_authorized(inst, range(1, 9)) is False
+    with pytest.raises(TokenEncodingError):
+        encode(system, 12, tuple(range(1, 12)), seed=9)
 
 
 def test_omega_validation(system):
