@@ -2,9 +2,9 @@
 
 Library layout:
 
-- ``numt``: exact modular and multilinear polynomial arithmetic
+- ``numt``: exact modular arithmetic
 - ``setsys``: restricted-intersection set systems and their verifier
-- ``cover``: covering-vector families and k-multilinear forms
+- ``cover``: covering vectors (rows of the set matrix) and k-multilinear forms
 - ``tokens``: hidden access-structure tokens and membership testing
 - ``lattice``: PRIM-LWE sampling, gadget trapdoors, preimage sampling,
   modulus switching

@@ -19,7 +19,7 @@ from .setsys import build_grolmusz_system, merge_systems, verify_restricted_inte
 from .sim import SimulationConfig, run_simulation
 from .tokens import DEFAULT_L, DEFAULT_M, DEFAULT_N, \
     TokenEncodingError, combine_tokens, default_token_systems, \
-    encode_access_structure, membership_test, token_id_bound
+    encode_access_structure, membership_test, read_token
 from .vss import (
     HeaderUnavailableError,
     Secret,
@@ -136,24 +136,21 @@ def cmd_tokens_test(args) -> int:
     if not isinstance(payload, dict) or payload.keys() != fields:
         raise serial.SerializationError(
             f"token file must be exactly the fields {', '.join(sorted(fields))}")
-    tokens = payload["tokens"]
-    if not isinstance(tokens, dict) or not isinstance(payload["instance_id"], str):
-        raise serial.SerializationError(
-            "token file needs a tokens map and a string instance_id")
-    if not subset or any(str(p) not in tokens for p in subset):
+    parties, tokens = payload["parties"], payload["tokens"]
+    if not isinstance(payload["instance_id"], str):
+        raise serial.SerializationError("instance_id must be a string")
+    # type() is int refuses the JSON booleans and strings int() would take
+    if type(parties) is not int or parties < 1:
+        raise serial.SerializationError(f"parties must be an integer of at least 1, "
+                                        f"not {parties!r}")
+    # the length check first, so a huge parties builds no huge key set
+    if not isinstance(tokens, dict) or len(tokens) != parties \
+            or tokens.keys() != {str(p) for p in range(1, parties + 1)}:
+        raise serial.SerializationError(f"tokens must map exactly the parties 1 to {parties}")
+    read = {int(p): read_token(token) for p, token in tokens.items()}
+    if not subset or any(p not in read for p in subset):
         raise ValueError("subset must name parties present in the token file")
-    elements = [tokens[str(p)] for p in subset]
-    if any(not isinstance(e, list) or not e or any(type(v) is not int for v in e)
-           for e in elements):
-        raise serial.SerializationError("each token must be a nonempty list of integers")
-    ids = [v for e in elements for v in e]
-    if min(ids) < 0:
-        raise serial.SerializationError("token elements must be nonnegative")
-    # the bound InstanceShare.from_doc puts on the default system's tokens
-    if max(ids) >= token_id_bound():
-        raise serial.SerializationError(f"token elements must lie below {token_id_bound()}")
-    combined = combine_tokens([frozenset(e) for e in elements])
-    ok = membership_test(combined, DEFAULT_M)
+    ok = membership_test(combine_tokens([read[p] for p in subset]), DEFAULT_M)
     _emit(args, "empty-report", {"subset": list(subset), "authorized": ok})
     return EXIT_OK if ok else EXIT_PROTOCOL
 

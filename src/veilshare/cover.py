@@ -1,7 +1,8 @@
 """Covering-vector families: set algebra through inner products.
 
 Each member set of a set system maps to its characteristic vector in
-Z_m^h.  For characteristic vectors the plain inner product counts the
+Z_m^h, and the covering family is just the set matrix as int64 rows.
+For characteristic vectors the plain inner product counts the
 intersection, so pairwise products mod m land in a bounded residue set S
 and vanish exactly on the self products (set sizes being 0 mod m).
 A k-multilinear form extends this to k-fold intersections, and
@@ -15,42 +16,16 @@ import itertools
 
 import numpy as np
 
-from .numt import Modulus
 from .setsys import SetSystem
 
 
-class VectorFamily:
-    """Covering vectors for one set system, stored as an (N, h) matrix."""
+def to_covering_family(system: SetSystem) -> np.ndarray:
+    """One characteristic vector per member set: the (N, h) int64 set matrix.
 
-    def __init__(self, matrix: np.ndarray, modulus: Modulus):
-        self.matrix = np.asarray(matrix, dtype=np.int64)
-        self.modulus = modulus
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.matrix.shape[1]
-
-    def vector(self, i: int) -> np.ndarray:
-        """Row i: the length-h int64 covering vector of member set i."""
-        return self.matrix[i]
-
-    def inner_products(self) -> np.ndarray:
-        """All pairwise inner products over the integers, (N, N)."""
-        return self.matrix @ self.matrix.T
-
-    def residue_set(self) -> set[int]:
-        """Distinct nonzero residues of off-diagonal products mod m."""
-        prod = self.inner_products() % self.modulus.m
-        off = prod[~np.eye(len(self), dtype=bool)]
-        return set(int(v) for v in np.unique(off)) - {0}
-
-
-def to_covering_family(system: SetSystem) -> VectorFamily:
-    """One characteristic vector per member set, entries in {0,1} as residues."""
-    return VectorFamily(system.sets.astype(np.int64), system.modulus)
+    Row i covers member set i, and ``v @ v.T`` gives every pairwise
+    intersection size.
+    """
+    return system.sets.astype(np.int64)
 
 
 def multilinear_form(vs: list) -> int:

@@ -1,23 +1,21 @@
-"""Exact modular and polynomial arithmetic primitives.
+"""Exact modular arithmetic primitives.
 
 Everything here runs on arbitrary-precision Python integers; no floating
-point touches a modular code path.  The two central objects are
+point touches a modular code path.  ``Modulus`` is an integer together
+with its prime factorization, used to state and check squarefree and
+odd-prime requirements.
 
-* ``Modulus``: an integer together with its prime factorization, used to
-  state and check squarefree/odd-prime requirements, and
-* ``MultilinearPoly``: a multilinear polynomial over Z_m with monomials
-  keyed by sorted variable-index tuples in lexicographic order.
-
-A univariate polynomial p(y) restricted to y = x_1 + ... + x_n with
-boolean x_i has a unique multilinear representative; its coefficient on
-a monomial of degree j is the j-th forward difference of p at 0.  That
-identity (x_i^2 = x_i) is what ``multilinear_reduce`` implements.
+``forward_differences`` gives the Newton coefficients D^j f(0) of f
+known at 0..n, so that f(y) = sum_j D^j f(0) * C(y, j).  For boolean x,
+C(x_1 + ... + x_n, j) counts the degree-j monomials that x satisfies, so
+D^j f(0) is the coefficient of every degree-j monomial in the multilinear
+form of f(x_1 + ... + x_n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def factorize(y: int) -> list[tuple[int, int]]:
@@ -124,52 +122,6 @@ class Modulus:
                 raise ValueError(f"modulus {self.m} must be odd")
 
 
-@dataclass(frozen=True)
-class MultilinearPoly:
-    """Multilinear polynomial over Z_m, monomials keyed by sorted index tuples."""
-
-    n_vars: int
-    coeffs: dict[tuple[int, ...], int] = field(compare=False)
-    modulus: Modulus
-
-    def __post_init__(self):
-        m = self.modulus.m
-        for mono, c in self.coeffs.items():
-            if tuple(sorted(mono)) != mono or len(set(mono)) != len(mono):
-                raise ValueError(f"monomial key {mono} is not a sorted index set")
-            if any(i < 0 or i >= self.n_vars for i in mono):
-                raise ValueError(f"monomial key {mono} out of range for n={self.n_vars}")
-            if not 0 < c < m:
-                raise ValueError("stored coefficients must be nonzero residues")
-
-    def degree(self) -> int:
-        return max((len(k) for k in self.coeffs), default=0)
-
-    def monomials(self) -> list[tuple[int, ...]]:
-        """Monomials in the canonical (lexicographic) order."""
-        return sorted(self.coeffs)
-
-
-def poly_eval(poly: MultilinearPoly, x) -> int:
-    """Evaluate at a boolean point, reduced mod m."""
-    xs = list(x)
-    if len(xs) != poly.n_vars:
-        raise ValueError(f"point has length {len(xs)}, expected {poly.n_vars}")
-    acc = 0
-    for mono, c in poly.coeffs.items():
-        if all(xs[i] for i in mono):
-            acc += c
-    return acc % poly.modulus.m
-
-
-def eval_univariate(coeffs, y: int) -> int:
-    """Evaluate sum_k coeffs[k] * y^k over the integers (Horner)."""
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = acc * y + c
-    return acc
-
-
 def forward_differences(values: list[int]) -> list[int]:
     """All forward differences D^j f(0) for f given by its values at 0..n."""
     out = []
@@ -178,36 +130,3 @@ def forward_differences(values: list[int]) -> list[int]:
         out.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
     return out
-
-
-def multilinear_from_symmetric_values(values: list[int], n_vars: int,
-                                      modulus: Modulus) -> MultilinearPoly:
-    """Multilinear poly in x agreeing with f(x_1+...+x_n) for f's values at 0..n."""
-    if len(values) != n_vars + 1:
-        raise ValueError("need one value per weight 0..n")
-    diffs = forward_differences(values)
-    m = modulus.m
-    coeffs: dict[tuple[int, ...], int] = {}
-    for size, d in enumerate(diffs):
-        c = d % m
-        if c == 0:
-            continue
-        for mono in _index_subsets(n_vars, size):
-            coeffs[mono] = c
-    return MultilinearPoly(n_vars, coeffs, modulus)
-
-
-def multilinear_reduce(univariate_coeffs, n_vars: int, modulus: Modulus) -> MultilinearPoly:
-    """Expand p(y), y = x_1 + ... + x_n, into multilinear form using x_i^2 = x_i.
-
-    ``univariate_coeffs`` lists the integer coefficients of p by ascending
-    degree.  The output agrees with p on every x in {0,1}^n.
-    """
-    values = [eval_univariate(univariate_coeffs, y) for y in range(n_vars + 1)]
-    return multilinear_from_symmetric_values(values, n_vars, modulus)
-
-
-def _index_subsets(n: int, size: int):
-    import itertools
-
-    return itertools.combinations(range(n), size)

@@ -83,10 +83,16 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _no_float(text: str):
+    """json number hook: the schemas hold integers only, so 6.0 or NaN is refused."""
+    raise SerializationError(f"non-integer number {text} in document")
+
+
 def deserialize(data: bytes, expect_kind: str):
     """The payload of a document of kind expect_kind; anything else is refused."""
     try:
-        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys,
+                         parse_float=_no_float, parse_constant=_no_float)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SerializationError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"schema", "version", "payload"}:

@@ -33,16 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .numt import (
-    Modulus,
-    MultilinearPoly,
-    crt_combine,
-    multilinear_from_symmetric_values,
-)
+from .numt import Modulus, crt_combine, forward_differences
 
 
 MAX_CELLS = 2**26     # largest sets x universe matrix built or loaded, in booleans
@@ -109,17 +104,20 @@ def build_bbr_core_values(m: Modulus, n: int) -> list[int]:
     return values
 
 
-def build_bbr_polynomial(m: Modulus, n: int) -> MultilinearPoly:
-    """Multilinear polynomial Q over Z_m vanishing only at the all-ones point.
+def build_bbr_polynomial(m: Modulus, n: int) -> list[int]:
+    """Coefficients c of Q over Z_m, vanishing on the cube only at the all-ones point.
 
     Q(x) is the core polynomial evaluated at y = number of zero
     coordinates of x, so Q(1,...,1) = 0 mod m, Q is nonzero mod m
     elsewhere on the cube, and every value lies in {0,1} mod each prime.
+    Q depends on x only through its weight |x|, so its multilinear form
+    gives every degree-j monomial the one coefficient c[j]:
+    Q(x) = sum_j c[j] * C(|x|, j) mod m.
     """
     core = build_bbr_core_values(m, n)
     # weight w of x corresponds to n - w zero coordinates
     values = [core[n - w] for w in range(n + 1)]
-    return multilinear_from_symmetric_values(values, n, m)
+    return [d % m.m for d in forward_differences(values)]
 
 
 @dataclass
@@ -187,30 +185,25 @@ def build_grolmusz_system(m: Modulus, n: int) -> SetSystem:
     """
     if n > 1 and n * math.log2(n) > math.log2(MAX_CELLS):    # n**n itself may be huge
         raise ValueError(f"n = {n} gives n^n sets, over the {MAX_CELLS}-cell budget")
-    q_poly = build_bbr_polynomial(m, n)
-    monomials = q_poly.monomials()
+    coeffs = build_bbr_polynomial(m, n)
+    # lexicographic monomial order fixes the universe layout
+    terms = sorted((mono, c) for j, c in enumerate(coeffs) if c
+                   for mono in itertools.combinations(range(n), j))
 
-    # a coefficient can be as large as m, so bound the universe before listing copies
-    universe = sum(q_poly.coeffs[mono] * n ** len(mono) for mono in monomials)
+    # term k lays its c copies of n^|mono| blocks side by side from starts[k]
+    starts = list(itertools.accumulate((c * n ** len(mono) for mono, c in terms), initial=0))
+    universe = starts[-1]
     require_cells(n**n, universe)
-    offsets = {}
-    pos = 0
-    for mono in monomials:
-        c = q_poly.coeffs[mono]
-        block_count = n ** len(mono)
-        for copy in range(c):
-            offsets[(mono, copy)] = pos
-            pos += block_count
 
     labels = list(itertools.product(range(n), repeat=n))
     sets = np.zeros((len(labels), universe), dtype=bool)
     for row, y in enumerate(labels):
-        for mono in monomials:
+        for (mono, c), start in zip(terms, starts):
             block = 0
             for i in mono:
                 block = block * n + y[i]
-            for copy in range(q_poly.coeffs[mono]):
-                sets[row, offsets[(mono, copy)] + block] = True
+            width = n ** len(mono)
+            sets[row, start + block:start + c * width:width] = True
 
     system = SetSystem(m, universe, sets, labels=labels)
     sizes = system.sizes()
@@ -305,12 +298,6 @@ def merge_layout(merged: SetSystem) -> tuple[int, dict[int, np.ndarray]]:
     raise ValueError("rows are not laid out by merge_systems")
 
 
-def universe_bound_applies(m: Modulus, n: int) -> bool:
-    """Whether the explicit universe bound's precondition n >= (4m)^(1+1/(r-1)) holds."""
-    r = len(m.factorization)
-    return n ** (r - 1) >= (4 * m.m) ** r
-
-
 @dataclass
 class IntersectionReport:
     """Outcome of brute-force restricted-intersection checking."""
@@ -331,19 +318,7 @@ class IntersectionReport:
         return not self.violations
 
     def to_doc(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "t": self.t,
-            "l": self.l,
-            "set_count": self.set_count,
-            "size_classes": self.size_classes,
-            "checked_pairs": self.checked_pairs,
-            "checked_families": self.checked_families,
-            "skipped_degenerate": self.skipped_degenerate,
-            "sample_seed": self.sample_seed,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_restricted_intersections(system: SetSystem, t: int, l: int | None = None,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numt import Modulus
+from .serial import SerializationError
 from .setsys import SetSystem, build_grolmusz_system, merge_layout, merge_systems
 
 DEFAULT_M = 39
@@ -86,6 +87,22 @@ def token_id_bound() -> int:
     """
     system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
     return system.universe_size + max(system.modulus.primes) - DEFAULT_L - 1
+
+
+def read_token(doc) -> frozenset[int]:
+    """A token as share and token files write it; anything else is refused.
+
+    That is a nonempty, strictly increasing list of integer ids below
+    token_id_bound(): the one order writers use, with no repeats.
+    """
+    if not isinstance(doc, list) or any(type(v) is not int for v in doc):
+        raise SerializationError("token must be a list of integers")
+    if not doc or any(a >= b for a, b in zip(doc, doc[1:])):
+        raise SerializationError("token must be nonempty and strictly increasing")
+    bound = token_id_bound()
+    if doc[0] < 0 or doc[-1] >= bound:
+        raise SerializationError(f"token elements must lie in [0, {bound})")
+    return frozenset(doc)
 
 
 def _encoding_structure(system: SetSystem):

@@ -83,7 +83,7 @@ from .tokens import (
     default_token_systems,
     encode_access_structure,
     membership_test,
-    token_id_bound,
+    read_token,
 )
 
 
@@ -170,21 +170,13 @@ class InstanceShare:
         if not isinstance(doc, dict) or doc.keys() != fields:
             raise serial.SerializationError(
                 f"instance share must be exactly the fields {', '.join(sorted(fields))}")
-        token, instance_id = doc["token"], doc["instance_id"]
-        if not isinstance(token, list) or any(type(v) is not int for v in token):
-            raise serial.SerializationError("token must be a list of integers")
-        # strictly increasing: the one order to_doc writes, with no repeats
-        if not token or any(a >= b for a, b in zip(token, token[1:])):
-            raise serial.SerializationError("token must be nonempty and strictly increasing")
-        bound = token_id_bound()
-        if token[0] < 0 or token[-1] >= bound:
-            raise serial.SerializationError(f"token elements must lie in [0, {bound})")
+        token, instance_id = read_token(doc["token"]), doc["instance_id"]
         if not isinstance(instance_id, str):
             raise serial.SerializationError("instance_id must be a string")
         key_share = serial.from_b64(doc["key_share"])
         if len(key_share) != KEY_SHARE_BYTES:
             raise serial.SerializationError(f"key_share must be {KEY_SHARE_BYTES} bytes")
-        return cls(instance_id=instance_id, token=frozenset(token),
+        return cls(instance_id=instance_id, token=token,
                    a_matrix=serial.doc_matrix(doc["a"]),
                    d_matrix=serial.doc_rice(doc["d"]),
                    header_ct=serial.from_b64(doc["header_ct"]), key_share=key_share)

@@ -114,7 +114,7 @@ def test_criterion_01_set_system_construction(h15):
 def test_criterion_02_covering_vectors(h15, v15):
     with criterion("criterion-02", "covering vectors match intersections mod 15") as entry:
         def build():
-            prods = v15.inner_products()          # form route: integer matmul
+            prods = v15 @ v15.T                   # form route: integer matmul
             packed = packed_rows(h15)             # oracle route: popcounts
             n = len(h15)
             mism = 0
@@ -145,8 +145,8 @@ def test_criterion_03_inclusion_exclusion(h15, v15):
             draws = draws[: 10**4]
             bad = 0
             for row in draws:
-                got = iterated_union_form(v15.vector(int(row[0])),
-                                          [v15.vector(int(i)) for i in row[1:]])
+                got = iterated_union_form(v15[int(row[0])],
+                                          [v15[int(i)] for i in row[1:]])
                 union = h15.sets[row[1]] | h15.sets[row[2]] | h15.sets[row[3]]
                 expect = int((h15.sets[row[0]] & union).sum())
                 bad += int(got != expect)

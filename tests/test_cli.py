@@ -507,6 +507,74 @@ def test_cli_tokens_test_refuses_ids_outside_the_universe(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("invalid:")
 
 
+def test_cli_tokens_test_reads_the_whole_token_file(tmp_path, capsys):
+    # each of these answered exit 0, authorized, for the coalition 1,2,3
+    out = tmp_path / "tok.json"
+    assert run_cli("--seed", "5", "--quiet", "tokens", "gen", "--parties", "5",
+                   "--omega", "1,2,3", "--out", str(out)) == 0
+    good = serial.deserialize(out.read_bytes(), "token-instance")
+
+    def reversed_with_repeat(party):
+        def change(doc):
+            token = doc["tokens"][party]
+            doc["tokens"][party] = token[::-1] + token[:1]
+        return change
+
+    changes = {
+        "parties abc": lambda doc: doc.update(parties="abc"),
+        "parties true": lambda doc: doc.update(parties=True),
+        "parties 0": lambda doc: doc.update(parties=0),
+        "parties 6 of 5 tokens": lambda doc: doc.update(parties=6),
+        "token for party 9 of 5": lambda doc: doc["tokens"].update({"9": doc["tokens"]["1"]}),
+        "no token for party 5": lambda doc: doc["tokens"].pop("5"),
+        "party 1 reversed": reversed_with_repeat("1"),
+        "party 5 reversed": reversed_with_repeat("5"),
+    }
+    for name, change in changes.items():
+        doc = json.loads(json.dumps(good))
+        change(doc)
+        (tmp_path / "bad.json").write_bytes(serial.serialize("token-instance", doc))
+        assert run_cli("--quiet", "tokens", "test", str(tmp_path / "bad.json"),
+                       "--subset", "1,2,3") == 2, name
+        assert capsys.readouterr().err.startswith("invalid:"), name
+    assert run_cli("--quiet", "tokens", "test", str(out), "--subset", "1,2,3") == 0
+
+
+def test_cli_refuses_float_literals(tmp_path, capsys):
+    # json reads 6.0 as a float equal to version 6, so each of these files
+    # passed the version check, and the share and token file answered exit 0
+    outdir = tmp_path / "shares"
+    assert run_cli("--seed", "9", "--quiet", "deal", "--secret", "3",
+                   "--gamma0", "1,2,3", "--parties", "5",
+                   "--outdir", str(outdir)) == 0
+    assert run_cli("--seed", "5", "--quiet", "tokens", "gen", "--parties", "5",
+                   "--omega", "1,2,3", "--out", str(tmp_path / "tok.json")) == 0
+    assert run_cli("--quiet", "setsys", "build", "--out", str(tmp_path / "sys.json")) == 0
+
+    def floated(path, old, new, name):
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        bad = tmp_path / name
+        bad.write_bytes(blob.replace(old, new))
+        return str(bad)
+
+    version = b'"version":%d}' % serial.VERSION
+    float_version = b'"version":%d.0}' % serial.VERSION
+    first = outdir / "share_001.json"
+    rest = [str(outdir / f"share_00{i}.json") for i in (2, 3)]
+    share = floated(first, version, float_version, "share_float.json")
+    nan_share = floated(first, b'"party":1}', b'"party":NaN}', "share_nan.json")
+    tok = floated(tmp_path / "tok.json", version, float_version, "tok_float.json")
+    system = floated(tmp_path / "sys.json", version, float_version, "sys_float.json")
+    for argv in (("reconstruct", "--shares", ",".join([share, *rest])),
+                 ("reconstruct", "--shares", ",".join([nan_share, *rest])),
+                 ("tokens", "test", tok, "--subset", "1,2,3"),
+                 ("setsys", "verify", system)):
+        assert run_cli("--quiet", *argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "non-integer number" in err, argv
+
+
 def test_cli_deal_reconstruct_verify(tmp_path, capsys):
     outdir = tmp_path / "shares"
     assert run_cli("--seed", "9", "--quiet", "deal", "--secret", "3",
@@ -691,15 +759,17 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
                    reason="2**32")
 
     # params are exactly n, p and q as integers: no JSON booleans, floats or
-    # extra fields, and not the norm and bound settings an earlier profile carried
-    for extra in ({"n": True}, {"p": 31.0}, {"token_m": 39},
-                  {"lam": 512, "c_bound_milli": 4000}):
+    # extra fields, and not the norm and bound settings an earlier profile carried;
+    # the parser refuses a float before the params check sees it
+    for extra, reason in (({"n": True}, "params"), ({"p": 31.0}, "non-integer number"),
+                          ({"token_m": 39}, "params"),
+                          ({"lam": 512, "c_bound_milli": 4000}, "params")):
         def change(doc):
             doc.update(extra)
         shares = [rewritten(f, change, params) for f in files[:3]]
-        assert_invalid("reconstruct", "--shares", ",".join(shares), reason="params")
+        assert_invalid("reconstruct", "--shares", ",".join(shares), reason=reason)
         assert_invalid("verify", "--shares", ",".join(shares), "--secret", "3",
-                       reason="params")
+                       reason=reason)
 
     # a party label is an integer of at least 1, and no two shares share one
     def whole(payload):

@@ -1,10 +1,11 @@
 """Attacks on access-structure hiding, run as a coalition would run them.
 
-Two attacks need no coalition: one solves a share's public matrix for
-its trapdoor, the other reads a party's role off its token size.  Both
-still succeed, so each is a strict xfail naming the ROADMAP item that
-fixes it: the run fails once an attack stops working, and the fix
-removes the marker.
+Three attacks need no coalition: two solve a share's public matrices
+for its trapdoor, the third reads a party's role off its token size.
+A fourth test counts the honest parties that verification blames next to
+a cheater.  All four still succeed, so each is a strict xfail naming the
+ROADMAP item that fixes it: the run fails once an attack stops working,
+and the fix removes the marker.
 
 Each instance's header is sealed under SHA-256(domain | K2 | gamma(H)),
 where K2 is the XOR of the Omega members' key shares.  Every token is a
@@ -22,6 +23,7 @@ import pytest
 
 from veilshare.lattice import TrapdoorMatrix, centered, det_int, gadget_matrix
 from veilshare.rng import named_stream
+from veilshare.sim import SimulationConfig, run_simulation
 from veilshare.tokens import combine_tokens
 from veilshare.vss import (
     Secret,
@@ -48,7 +50,7 @@ def inverse_mod(mat, q):
     return np.array(adj, dtype=object) * det_inv % q
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: a share's A gives away its R")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: a share's A gives away its R")
 def test_no_share_gives_away_its_trapdoor_from_a():
     # A = [A_bar; G - R A_bar], so R = (G - A_bottom) A_bar^-1 wherever A_bar
     # is invertible mod q; a share gives R away when that R is short
@@ -70,6 +72,26 @@ def test_no_share_gives_away_its_trapdoor_from_a():
     assert not recovered, f"{len(recovered)} of 50 shares gave away R"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: D = [ZR | Z] gives away R")
+def test_no_share_gives_away_its_trapdoor_from_d():
+    # an unperturbed preimage is D = [Z R | Z], so least squares on its two
+    # column blocks returns R; a share gives R away when that solve is integral
+    # and short, decoys included
+    params = VssParams.desk()
+    lwe = params.lwe
+    recovered, total = [], 0
+    for seed in range(5):
+        for bundle in deal(Secret(3, 31), [(1, 2, 3)], 5, params, seed=seed):
+            for inst in bundle.instances:
+                d = inst.d_matrix.astype(np.float64)
+                x = np.linalg.lstsq(d[:, lwe.w_bar:], d[:, :lwe.w_bar], rcond=None)[0]
+                r = np.rint(x)
+                total += 1
+                if np.abs(x - r).max() < 1e-6 and np.abs(r).max() < lwe.error_cap:
+                    recovered.append((seed, bundle.party, inst.instance_id))
+    assert not recovered, f"{len(recovered)} of {total} shares gave away R"
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: token size gives away role")
 def test_token_size_does_not_give_away_role():
     # learn the sizes outsiders' tokens take on 20 dealings, then call every
@@ -84,6 +106,21 @@ def test_token_size_does_not_give_away_role():
     outsider_sizes = {size for size, member in sizes(range(20)) if not member}
     guesses = [(size not in outsider_sizes) == member for size, member in sizes(range(20, 40))]
     assert sum(guesses) <= 0.6 * len(guesses), f"{sum(guesses)} of {len(guesses)} roles guessed"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: verdicts blame honest parties")
+def test_verification_does_not_blame_honest_chain_members():
+    # one chain member's encoding is forged per trial; each honest member's
+    # verdict 0 is a false accusation.  Item 5 aims at about 1/(p-1) of the
+    # corrupted trials, 4 of 120; allow three times that
+    report = run_simulation(SimulationConfig(trials=120, seed=3, mode="encoding",
+                                             malicious=1))
+    honest = [v for trial in report.trials if trial["verdicts"] is not None
+              for p, v in trial["verdicts"].items()
+              if int(p) in (1, 2, 3) and int(p) not in trial["malicious"]]
+    accused = honest.count(0)
+    assert len(honest) == 240
+    assert accused <= 12, f"{accused} of {len(honest)} honest chain members got verdict 0"
 
 
 def dealings():

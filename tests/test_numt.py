@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -8,10 +9,8 @@ from veilshare.numt import (
     Modulus,
     crt_combine,
     euler_phi,
-    eval_univariate,
+    forward_differences,
     is_primitive_root,
-    multilinear_reduce,
-    poly_eval,
 )
 
 
@@ -82,61 +81,24 @@ def test_crt_projection_roundtrip(primes, data):
     assert crt_combine([(x % p, p) for p in primes]) == x
 
 
-M15 = Modulus.of(15)
-
-
-def test_poly_eval_zero_polynomial():
-    zero = multilinear_reduce([0], 3, M15)
-    assert zero.coeffs == {}
-    for x in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
-        assert poly_eval(zero, x) == 0
-
-
-def test_poly_eval_length_mismatch():
-    poly = multilinear_reduce([0, 1], 3, M15)
-    with pytest.raises(ValueError):
-        poly_eval(poly, (1, 0))
-
-
-def test_multilinear_reduce_linear_and_square():
-    lin = multilinear_reduce([0, 1], 3, M15)
-    assert lin.coeffs == {(0,): 1, (1,): 1, (2,): 1}
-    sq = multilinear_reduce([0, 0, 1], 2, M15)
-    assert sq.coeffs == {(0,): 1, (1,): 1, (0, 1): 2}
-
-
-def test_multilinear_reduce_matches_bbr_core_on_cube():
-    # 10y^2 + 6y^4 mod 15, y = x1+x2+x3: check all 8 boolean points
-    coeffs = [0, 0, 10, 0, 6]
-    poly = multilinear_reduce(coeffs, 3, M15)
-    for bits in range(8):
-        x = [(bits >> i) & 1 for i in range(3)]
-        assert poly_eval(poly, x) == eval_univariate(coeffs, sum(x)) % 15
-    assert poly.degree() <= 3
-
-
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5),
        st.integers(min_value=1, max_value=5))
 @settings(max_examples=80, deadline=None)
-def test_multilinear_reduce_agrees_everywhere(coeffs, n):
-    poly = multilinear_reduce(coeffs, n, M15)
+def test_forward_differences_rebuild_f_by_newton(coeffs, n):
+    # Newton: f(y) = sum_j D^j f(0) * C(y, j) on 0..n, and over the cube C(|x|, j)
+    # counts the degree-j monomials x satisfies, so D^j f(0) is each one's coefficient
+    def f(y):
+        return sum(c * y**k for k, c in enumerate(coeffs))
+
+    diffs = forward_differences([f(y) for y in range(n + 1)])
+    assert len(diffs) == n + 1
+    for y in range(n + 1):
+        assert sum(d * math.comb(y, j) for j, d in enumerate(diffs)) == f(y)
     for bits in range(2**n):
         x = [(bits >> i) & 1 for i in range(n)]
-        assert poly_eval(poly, x) == eval_univariate(coeffs, sum(x)) % 15
-
-
-def test_multilinear_poly_invariants():
-    from veilshare.numt import MultilinearPoly
-
-    MultilinearPoly(3, {(0, 2): 7}, M15)
-    with pytest.raises(ValueError):
-        MultilinearPoly(3, {(2, 0): 7}, M15)        # unsorted key
-    with pytest.raises(ValueError):
-        MultilinearPoly(3, {(0, 3): 7}, M15)        # index out of range
-    with pytest.raises(ValueError):
-        MultilinearPoly(3, {(0,): 0}, M15)          # zero coefficient stored
-    with pytest.raises(ValueError):
-        MultilinearPoly(3, {(0,): 15}, M15)         # out-of-range residue
+        satisfied = [mono for j in range(n + 1) for mono in itertools.combinations(range(n), j)
+                     if all(x[i] for i in mono)]
+        assert sum(diffs[len(mono)] for mono in satisfied) == f(sum(x))
 
 
 def test_modulus_validation():

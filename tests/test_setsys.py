@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from veilshare.numt import Modulus, eval_univariate, poly_eval  # noqa: F401
+from veilshare.numt import Modulus
 from veilshare.setsys import (
     SetSystem,
     build_bbr_core_values,
@@ -11,7 +12,6 @@ from veilshare.setsys import (
     build_grolmusz_system,
     merge_layout,
     merge_systems,
-    universe_bound_applies,
     verify_restricted_intersections,
 )
 
@@ -20,6 +20,16 @@ M15 = Modulus.of(15)
 
 def as_pysets(system):
     return [frozenset(np.flatnonzero(row)) for row in system.sets]
+
+
+def bbr_value(coeffs, weight):
+    """Q at any x of that weight over the integers: sum_j c[j] * C(|x|, j)."""
+    return sum(c * math.comb(weight, j) for j, c in enumerate(coeffs))
+
+
+def closed_form(y):
+    """The core polynomial 10y^2 + 6y^4 mod 15 for m = 15, n = 3."""
+    return (10 * y**2 + 6 * y**4) % 15
 
 
 def test_bbr_core_values_m15_n3():
@@ -31,17 +41,17 @@ def test_bbr_core_values_m15_n3():
     assert expected == [0, 1, 1, 6]
     assert build_bbr_core_values(M15, 3) == expected
     # same values from the closed form 10y^2 + 6y^4 mod 15
-    assert [eval_univariate([0, 0, 10, 0, 6], y) % 15 for y in range(4)] == expected
+    assert [closed_form(y) for y in range(4)] == expected
 
 
 @pytest.mark.parametrize("m,n", [(15, 2), (15, 3), (15, 4), (21, 3), (33, 3), (35, 2), (105, 3)])
 def test_bbr_polynomial_conditions(m, n):
     mod = Modulus.of(m)
-    q = build_bbr_polynomial(mod, n)
-    for bits in range(2**n):
-        x = [(bits >> i) & 1 for i in range(n)]
-        v = poly_eval(q, x)
-        if all(x):
+    c = build_bbr_polynomial(mod, n)
+    assert len(c) == n + 1 and all(0 <= cj < m for cj in c)
+    for weight in range(n + 1):
+        v = bbr_value(c, weight) % m
+        if weight == n:
             assert v == 0
         else:
             assert v != 0
@@ -50,16 +60,16 @@ def test_bbr_polynomial_conditions(m, n):
 
 
 def test_bbr_all_zero_point_value_m15_n3():
-    q = build_bbr_polynomial(M15, 3)
-    assert poly_eval(q, (0, 0, 0)) == 6
+    c = build_bbr_polynomial(M15, 3)
+    assert bbr_value(c, 0) % 15 == closed_form(3) == 6
     # one zero coordinate flipped: two zeros left, oracle 10*2^2 + 6*2^4 mod 15
-    assert poly_eval(q, (1, 0, 0)) == eval_univariate([0, 0, 10, 0, 6], 2) % 15 == 1
+    assert bbr_value(c, 1) % 15 == closed_form(2) == 1
 
 
 def test_bbr_degree_bound_kicks_in():
     # m=15, n=9: exponents are 2 for p=3 and 1 for p=5, so degree <= 8 < 9
-    q = build_bbr_polynomial(M15, 9)
-    assert q.degree() <= 8
+    c = build_bbr_polynomial(M15, 9)
+    assert max(j for j, cj in enumerate(c) if cj) <= 8
 
 
 def test_bbr_rejects_bad_parameters():
@@ -101,13 +111,12 @@ def test_grolmusz_full_intersection_nonzero(g15):
 
 def test_grolmusz_pairwise_matches_polynomial_side(g15):
     # set-side counts vs polynomial-side prediction at the agreement pattern
-    q = build_bbr_polynomial(M15, 3)
-    mono_int = {mono: c for mono, c in q.coeffs.items()}
+    c = build_bbr_polynomial(M15, 3)
     labels = g15.labels
     sets = as_pysets(g15)
     for i, j in itertools.combinations(range(27), 2):
-        z = [1 if labels[i][k] == labels[j][k] else 0 for k in range(3)]
-        predicted = sum(c for mono, c in mono_int.items() if all(z[v] for v in mono))
+        agree = sum(labels[i][k] == labels[j][k] for k in range(3))
+        predicted = bbr_value(c, agree)
         got = len(sets[i] & sets[j])
         assert got == predicted
         assert got % 15 != 0
@@ -190,7 +199,3 @@ def test_verify_exempts_degenerate_pairs():
     report = verify_restricted_intersections(SetSystem(M15, 45, rows), t=2, samples=10)
     assert report.ok
     assert report.skipped_degenerate == 1
-
-
-def test_universe_bound_precondition_is_desk_scale_false():
-    assert not universe_bound_applies(M15, 3)
