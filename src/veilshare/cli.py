@@ -17,9 +17,8 @@ from .numt import Modulus
 from .rng import named_stream
 from .setsys import build_grolmusz_system, merge_systems, verify_restricted_intersections
 from .sim import SimulationConfig, run_simulation
-from .tokens import DEFAULT_L, DEFAULT_M, DEFAULT_N, \
-    TokenEncodingError, combine_tokens, default_token_systems, \
-    encode_access_structure, membership_test, read_token
+from .tokens import TokenEncodingError, combine_tokens, encode_access_structure, \
+    membership_test, read_token
 from .vss import (
     HeaderUnavailableError,
     Secret,
@@ -113,11 +112,8 @@ def cmd_setsys_verify(args) -> int:
 
 
 def cmd_tokens_gen(args) -> int:
-    # positional, as deal passes them, so the lru_cache builds it once
-    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
     rng = named_stream(args.seed, "cli", "tokens", args.parties, args.omega)
-    instance = encode_access_structure(args.parties, _parse_subset(args.omega),
-                                       system, rng)
+    instance = encode_access_structure(args.parties, _parse_subset(args.omega), rng)
     payload = {
         "instance_id": instance.instance_id,
         "parties": instance.party_count,
@@ -150,7 +146,7 @@ def cmd_tokens_test(args) -> int:
     read = {int(p): read_token(token) for p, token in tokens.items()}
     if not subset or any(p not in read for p in subset):
         raise ValueError("subset must name parties present in the token file")
-    ok = membership_test(combine_tokens([read[p] for p in subset]), DEFAULT_M)
+    ok = membership_test(combine_tokens([read[p] for p in subset]))
     _emit(args, "empty-report", {"subset": list(subset), "authorized": ok})
     return EXIT_OK if ok else EXIT_PROTOCOL
 

@@ -220,7 +220,9 @@ def merge_systems(g_system: SetSystem, l: int) -> SetSystem:
     Members are every copy set and every union of one set per copy
     together with the padding block B of (l-1)*|core| fresh elements.
     The copy-core identification uses the identity map on core element
-    indices, which is a coherent choice of the pairwise bijections.
+    indices, which is a coherent choice of the pairwise bijections.  Each
+    union row starts as B and takes in the copy rows merge_layout(l, s)
+    assigns it, so the layout the token encoding reads is the one built.
     """
     if l < 2:
         raise ValueError("need l >= 2")
@@ -238,64 +240,36 @@ def merge_systems(g_system: SetSystem, l: int) -> SetSystem:
     g = g_system.universe_size
     s = len(g_system)
 
-    core_idx = np.flatnonzero(core_mask)
-    rest_idx = np.flatnonzero(~core_mask)
     h = l * g       # a core elements, l * (g - a) rest elements, (l - 1) * a padding
     require_cells(l * s + s**l, h)
 
-    maps = []
-    pos = a
-    for copy in range(l):
-        cmap = np.empty(g, dtype=np.int64)
-        cmap[core_idx] = np.arange(a)
-        cmap[rest_idx] = np.arange(pos, pos + (g - a))
-        pos += g - a
-        maps.append(cmap)
-    pad_idx = np.arange(pos, h)
-
-    copies = np.zeros((l, s, h), dtype=bool)
-    for copy in range(l):
-        copies[copy][:, maps[copy]] = g_system.sets
-    labels: list = []
     sets = np.zeros((l * s + s**l, h), dtype=bool)
-    row = 0
+    cmap = np.empty(g, dtype=np.int64)
+    cmap[core_mask] = np.arange(a)
     for copy in range(l):
-        sets[row:row + s] = copies[copy]
-        labels.extend(("copy", copy, g_system.labels[j] if g_system.labels else j)
-                      for j in range(s))
-        row += s
-    pad_row = np.zeros(h, dtype=bool)
-    pad_row[pad_idx] = True
-    for combo in itertools.product(range(s), repeat=l):
-        u = pad_row.copy()
-        for copy, j in enumerate(combo):
-            u |= copies[copy][j]
-        sets[row] = u
-        labels.append(("union", combo))
-        row += 1
-
+        cmap[~core_mask] = a + copy * (g - a) + np.arange(g - a)
+        sets[copy * s:(copy + 1) * s, cmap] = g_system.sets
+    sets[l * s:, a + l * (g - a):] = True       # B in every union row
+    for row, unions in merge_layout(l, s).items():
+        sets[unions] |= sets[row]
+    labels = [("copy", copy, g_system.labels[j] if g_system.labels else j)
+              for copy in range(l) for j in range(s)]
+    labels += [("union", combo) for combo in itertools.product(range(s), repeat=l)]
     return SetSystem(g_system.modulus, h, sets, labels=labels)
 
 
-def merge_layout(merged: SetSystem) -> tuple[int, dict[int, np.ndarray]]:
-    """The merge factor l and, per copy row, the ascending union rows holding it.
+def merge_layout(l: int, s: int) -> dict[int, np.ndarray]:
+    """Per copy row of an l-fold merge of s sets, the ascending union rows holding it.
 
     merge_systems writes l*s copy rows, copy by copy, then one union row per
-    combo in itertools.product order.  Copy row c*s + j lies in exactly the
-    s^(l-1) unions that pick j in copy c and holds no member, so every copy
-    row can be the designated set H of the token encoding.
+    combo in itertools.product order, and builds each union from this map.
+    Copy row c*s + j lies in exactly the s^(l-1) unions that pick j in copy
+    c and holds no member, so every copy row can be the designated set H of
+    the token encoding.
     """
-    labels = merged.labels
-    last = labels[-1] if len(labels) == len(merged) else None
-    if isinstance(last, tuple) and last[0] == "union":
-        l, s = len(last[1]), last[1][0] + 1
-        combos = list(itertools.product(range(s), repeat=l))
-        layout = [("copy", c) for c in range(l) for _ in range(s)]
-        if [lab[:2] for lab in labels] == layout + [("union", co) for co in combos]:
-            picks = np.array(combos)
-            return l, {c * s + j: l * s + np.flatnonzero(picks[:, c] == j)
-                       for c in range(l) for j in range(s)}
-    raise ValueError("rows are not laid out by merge_systems")
+    picks = np.array(list(itertools.product(range(s), repeat=l)))
+    return {c * s + j: l * s + np.flatnonzero(picks[:, c] == j)
+            for c in range(l) for j in range(s)}
 
 
 @dataclass
@@ -328,8 +302,9 @@ def verify_restricted_intersections(system: SetSystem, t: int, l: int | None = N
     All pairs are checked exhaustively; families of size 3..t are checked
     on ``samples`` seeded random draws each.  Families where one member is
     contained in every other member are degenerate and exempt.  Violations
-    are returned with witnesses, never raised; ValueError refuses a
-    ``samples`` whose families would not fit MAX_CELLS.
+    are returned with witnesses, never raised; ValueError refuses, before
+    any family is drawn, a t and ``samples`` whose families of every arity
+    would not fit MAX_CELLS together.
     """
     m = system.modulus.m
     sizes = system.sizes()
@@ -362,15 +337,17 @@ def verify_restricted_intersections(system: SetSystem, t: int, l: int | None = N
                 {"kind": "pair", "family": [int(iu[0][b]), int(iu[1][b])],
                  "intersection": int(pair_sizes[b])})
 
+        # the (families, arity) arrays of all arities, summed before any is
+        # drawn; gram() caps n_sets near 2,900, which keeps these combs cheap
+        arities = range(3, min(t, n_sets) + 1)
+        cells = sum(min(math.comb(n_sets, a), samples) * a for a in arities)
+        if cells > MAX_CELLS:
+            raise ValueError(f"families of 3 to {t} sets take {cells} cells, over "
+                             f"the {MAX_CELLS}-cell budget; lower t or samples")
         packed = system.packed()
         rng = np.random.default_rng(seed)
-        for arity in range(3, t + 1):
-            if n_sets < arity:
-                break
+        for arity in arities:
             total = math.comb(n_sets, arity)
-            if min(total, samples) * arity > MAX_CELLS:     # the (families, arity) array
-                raise ValueError(f"{min(total, samples)} families of {arity} sets exceed "
-                                 f"the {MAX_CELLS}-cell budget; lower samples")
             if total <= samples:
                 fams = np.array(list(itertools.combinations(range(n_sets), arity)))
             else:

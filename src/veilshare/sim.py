@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .rng import named_stream
+from .tokens import check_party_count
 from .vss import (
     HeaderUnavailableError,
     Secret,
@@ -62,6 +63,7 @@ class SimulationConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        check_party_count(self.parties)     # before the coalition check builds a set
         coalition = self.resolved_coalition()
         if not coalition or not set(coalition) <= set(range(1, self.parties + 1)):
             raise ValueError("coalition must be a nonempty subset of 1..parties")

@@ -18,7 +18,9 @@ every token while preserving all verdicts.
 Soundness needs the largest prime divisor of m to exceed
 l + |Omega| + KAPPA, where the tag pad KAPPA is fixed at 2, so the
 default token system is built and tested over the one modulus
-m = 39 = 3*13, hosting |Omega| up to 8.
+m = 39 = 3*13, hosting |Omega| up to 8.  Callers never pass that system or
+m: _encoding_structure builds it once and reads H's 27 supersets off
+setsys.merge_layout.  H_0 takes one, so an encoding hosts at most 26 parties.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ class AccessStructureInstance:
 
     instance_id: str
     party_count: int
-    omega: tuple[int, ...]
-    m: int
     h_set: frozenset[int]              # the designated set H
     h_zero: frozenset[int]             # H_0 = H_partial joined with all tags
     assigned_sets: dict[int, frozenset[int]]   # party id -> S_i
@@ -85,8 +85,15 @@ def token_id_bound() -> int:
     encode_access_structure keeps l + |Omega| + KAPPA below the largest
     prime of m.
     """
-    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
+    system = _encoding_structure()[0]
     return system.universe_size + max(system.modulus.primes) - DEFAULT_L - 1
+
+
+def check_party_count(parties: int) -> None:
+    """Refuse more parties than an encoding hosts: H_0 and each party take a superset of H."""
+    bound = len(_encoding_structure()[2][0]) - 1
+    if parties > bound:
+        raise TokenEncodingError(f"the token system hosts at most {bound} parties, not {parties}")
 
 
 def read_token(doc) -> frozenset[int]:
@@ -105,53 +112,49 @@ def read_token(doc) -> frozenset[int]:
     return frozenset(doc)
 
 
-def _encoding_structure(system: SetSystem):
-    """(l, candidate H rows, supersets per candidate, element ids), cached on the system.
+@functools.cache
+def _encoding_structure():
+    """(system, candidate H rows, supersets per candidate, element ids) of the token system.
 
-    The rows come from the layout merge_systems wrote.  Every member set is
-    built from the shared int objects in ids, so encoding allocates no ints.
+    The rows come from merge_layout, the layout merge_systems builds.  Every
+    member set is built from the shared int objects in ids, so encoding
+    allocates no ints.
     """
-    cached = getattr(system, "_encoding_structure", None)
-    if cached is None:
-        merge_l, supersets = merge_layout(system)
-        ids = np.arange(system.universe_size).astype(object)
-        cached = (merge_l, np.array(list(supersets)), supersets, ids)
-        system._encoding_structure = cached
-    return cached
+    # positional, as perfbench/run.py passes them, so the lru_cache builds it once
+    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
+    supersets = merge_layout(DEFAULT_L, DEFAULT_N ** DEFAULT_N)
+    ids = np.arange(system.universe_size).astype(object)
+    return system, np.array(list(supersets)), supersets, ids
 
 
-def encode_access_structure(party_count: int, omega, system: SetSystem,
-                            rng: np.random.Generator,
+def encode_access_structure(party_count: int, omega, rng: np.random.Generator,
                             instance_id: str | None = None) -> AccessStructureInstance:
-    """Assign member sets to parties so coalitions intersect to H iff authorized.
+    """Deal member sets of the token system so coalitions intersect to H iff authorized.
 
     The designated H is drawn among the copy rows of the merged system,
     which are proper subsets of exactly s^(l-1) members (the unions that
     pick them) and proper supersets of none; those unions supply the
-    other parties.  Tag elements beyond the universe give each Omega-party
-    a punched tail.  l + |Omega| + KAPPA must stay below the largest prime
-    divisor of m, which is what pins unauthorized intersection sizes away
-    from 0 mod m.
+    other parties, so check_party_count bounds them.  Tag elements
+    beyond the universe give each Omega-party a punched tail.
+    l + |Omega| + KAPPA must stay below the largest prime divisor of m,
+    which is what pins unauthorized intersection sizes away from 0 mod m.
     """
     omega = tuple(sorted(set(int(i) for i in omega)))
     if not omega:
         raise TokenEncodingError("Omega must be nonempty")
     if party_count < 1 or omega[0] < 1 or omega[-1] > party_count:
         raise TokenEncodingError("Omega must be a subset of 1..party_count")
-    merge_l, candidates, supersets, ids = _encoding_structure(system)
+    check_party_count(party_count)
+    system, candidates, supersets, ids = _encoding_structure()
 
     max_prime = max(system.modulus.primes)
     k = len(omega)
-    if merge_l + k + KAPPA >= max_prime:
+    if DEFAULT_L + k + KAPPA >= max_prime:
         raise TokenEncodingError(
             f"no valid pad: need l + |Omega| + kappa < {max_prime}, "
-            f"got l={merge_l}, |Omega|={k}, kappa={KAPPA}")
+            f"got l={DEFAULT_L}, |Omega|={k}, kappa={KAPPA}")
 
     h_idx = int(rng.choice(candidates))
-    superset_idx = supersets[h_idx]
-    if len(superset_idx) < party_count + 1:
-        raise TokenEncodingError(
-            f"need at least {party_count + 1} supersets, have {len(superset_idx)}")
 
     base_h = system.universe_size
     universe = base_h + k + KAPPA
@@ -161,7 +164,7 @@ def encode_access_structure(party_count: int, omega, system: SetSystem,
         return frozenset(ids[system.sets[row_idx]])
 
     h_set = member(h_idx)
-    draw = rng.choice(superset_idx, size=party_count, replace=False)
+    draw = rng.choice(supersets[h_idx], size=party_count, replace=False)
     others = iter(int(v) for v in draw)
 
     assigned: dict[int, frozenset[int]] = {}
@@ -186,8 +189,7 @@ def encode_access_structure(party_count: int, omega, system: SetSystem,
         instance_id = bytes(rng.integers(0, 256, size=8, dtype=np.uint8)).hex()
 
     return AccessStructureInstance(
-        instance_id=instance_id, party_count=party_count, omega=omega,
-        m=system.modulus.m, h_set=h_set, h_zero=h_zero,
+        instance_id=instance_id, party_count=party_count, h_set=h_set, h_zero=h_zero,
         assigned_sets=assigned, gamma=gamma,
     )
 
@@ -199,10 +201,9 @@ def combine_tokens(tokens: list[frozenset[int]]) -> frozenset[int]:
     return frozenset(tokens[0]).intersection(*tokens[1:])
 
 
-def membership_test(combined, m: int) -> bool:
-    """Authorized iff the combined cardinality is nonzero and 0 mod m."""
-    size = combined if isinstance(combined, int) else len(combined)
-    return size > 0 and size % m == 0
+def membership_test(combined) -> bool:
+    """Authorized iff the combined cardinality is nonzero and 0 mod DEFAULT_M."""
+    return len(combined) > 0 and len(combined) % DEFAULT_M == 0
 
 
 def subset_is_authorized(instance: AccessStructureInstance, subset) -> bool:
@@ -211,4 +212,4 @@ def subset_is_authorized(instance: AccessStructureInstance, subset) -> bool:
     if not subset:
         return False
     combined = combine_tokens([instance.token_for(p) for p in subset])
-    return membership_test(combined, instance.m)
+    return membership_test(combined)

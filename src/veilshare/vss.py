@@ -79,8 +79,8 @@ from .tokens import (
     DEFAULT_L,
     DEFAULT_M,
     DEFAULT_N,
+    check_party_count,
     combine_tokens,
-    default_token_systems,
     encode_access_structure,
     membership_test,
     read_token,
@@ -328,11 +328,10 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
     """Produce one ShareBundle per party for cl(gamma0)."""
     if secret.p != params.lwe.p:
         raise VssError("secret prime does not match the parameter prime")
+    check_party_count(parties)      # before anything is built per party
     gamma0 = _validate_gamma0(gamma0, parties)
     lwe = params.lwe
     p, q, n = lwe.p, lwe.q, lwe.n
-    # positional, as perfbench passes them, so the lru_cache builds it once
-    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
 
     per_party: dict[int, list[InstanceShare]] = {i: [] for i in range(1, parties + 1)}
     for idx, omega in enumerate(gamma0):
@@ -340,8 +339,7 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
         tag = bytes(tag_rng.integers(0, 256, size=6, dtype=np.uint8)).hex()
         inst_id = f"chain-{idx:03d}-{tag}"
         rng = named_stream(seed, "vss", inst_id)
-        instance = encode_access_structure(parties, omega, system, rng,
-                                           instance_id=inst_id)
+        instance = encode_access_structure(parties, omega, rng, instance_id=inst_id)
 
         order = [int(v) for v in rng.permutation(np.array(omega))]
         exps = _draw_exponents(rng, len(order), p)
@@ -459,7 +457,7 @@ def _read_chains(bundles: list[ShareBundle]):
     for instance_id in per_bundle[0]:
         shares = {b.party: b.instance(instance_id) for b in bundles}
         combined = combine_tokens([s.token for s in shares.values()])
-        if not membership_test(combined, DEFAULT_M):
+        if not membership_test(combined):
             continue
         keys = header_keys(combined, _subset_xors([s.key_share for s in shares.values()]))
         try:

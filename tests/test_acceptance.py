@@ -160,11 +160,9 @@ def test_criterion_03_inclusion_exclusion(h15, v15):
 
 def test_criterion_04_token_encoding():
     with criterion("criterion-04", "token membership matches closure at 6 parties") as entry:
-        system = default_token_systems()
-
         def classify(omega, seed):
             rng = named_stream(seed, "accept", "tokens", omega)
-            inst = encode_access_structure(6, omega, system, rng)
+            inst = encode_access_structure(6, omega, rng)
             bits = []
             for r in range(1, 7):
                 for subset in itertools.combinations(range(1, 7), r):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from veilshare import serial
 from veilshare.cli import main
 from veilshare.numt import Modulus
-from veilshare.setsys import build_grolmusz_system, merge_systems
+from veilshare.setsys import SetSystem, build_grolmusz_system, merge_systems, \
+    verify_restricted_intersections
 from veilshare.sim import SimulationConfig, run_simulation
 from veilshare.tokens import combine_tokens, token_id_bound
 from veilshare.vss import (
@@ -420,6 +421,31 @@ def test_cli_setsys_verify_refuses_samples_over_the_cell_budget(h15_file, capsys
     # C(783, 3) ~ 79.8 M triples fit under 10**15 samples, so every one was
     # listed as a Python tuple; the (families, 3) array is over 2**26 cells
     assert run_cli("setsys", "verify", str(h15_file), "--samples", str(10**15)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and "budget" in err
+
+
+def test_cli_setsys_verify_budgets_every_arity_together(h15_file, tmp_path, capsys,
+                                                       monkeypatch):
+    # 10**6 families of each arity from 3 to t take 10**6 * (3 + ... + t) cells:
+    # 63 M at t = 11, 75 M at t = 12, over 2**26.  Each arity alone fit, so
+    # t = 12 ran for 19 s and a file saying "t": 67 for about two minutes
+    payload = serial.deserialize(h15_file.read_bytes(), "set-system")
+    system = serial.doc_set_system(payload)
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(self):
+        raise Drawn             # families are drawn from the packed rows
+
+    monkeypatch.setattr(SetSystem, "packed", drawn)
+    with pytest.raises(Drawn):
+        verify_restricted_intersections(system, t=11)
+    with pytest.raises(ValueError, match="budget"):
+        verify_restricted_intersections(system, t=12)
+    (tmp_path / "t67.json").write_bytes(serial.serialize("set-system", {**payload, "t": 67}))
+    assert run_cli("setsys", "verify", str(tmp_path / "t67.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid:") and "budget" in err
 

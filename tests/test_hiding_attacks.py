@@ -1,11 +1,12 @@
 """Attacks on access-structure hiding, run as a coalition would run them.
 
-Three attacks need no coalition: two solve a share's public matrices
-for its trapdoor, the third reads a party's role off its token size.
-A fourth test counts the honest parties that verification blames next to
-a cheater.  All four still succeed, so each is a strict xfail naming the
-ROADMAP item that fixes it: the run fails once an attack stops working,
-and the fix removes the marker.
+Four attacks need no coalition: two solve a share's public matrices
+for its trapdoor, and two read a party's role, one off its token size and
+one off its encoding.  A fifth has two parties invert the link between
+them, and a sixth test counts the honest parties that verification blames
+next to a cheater.  All six still succeed, so each is a strict xfail
+naming the ROADMAP item that fixes it: the run fails once an attack stops
+working, and the fix removes the marker.
 
 Each instance's header is sealed under SHA-256(domain | K2 | gamma(H)),
 where K2 is the XOR of the Omega members' key shares.  Every token is a
@@ -106,6 +107,65 @@ def test_token_size_does_not_give_away_role():
     outsider_sizes = {size for size, member in sizes(range(20)) if not member}
     guesses = [(size not in outsider_sizes) == member for size, member in sizes(range(20, 40))]
     assert sum(guesses) <= 0.6 * len(guesses), f"{sum(guesses)} of {len(guesses)} roles guessed"
+
+
+def link_products(d, lwe):
+    """T = D[:, w_bar:] G mod q, which is D A for a preimage D = [Z R | Z] of any A."""
+    g = gadget_matrix(lwe.n, lwe.d)
+    return d[:, lwe.w_bar:] @ g % lwe.q
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 16 and 4: one share gives away its role")
+def test_one_share_does_not_give_away_its_role():
+    # a member's T is A_next S^e + E, and A_next = [A_bar; G - R A_bar], so
+    # bottom row w_bar + i*d plus r T_top lands near row i of S^e (entries
+    # in [0, p)) for r = row i*d of R_next, which is short; a decoy's T is
+    # uniform.  A share is called a member's when every i has such an r in
+    # [-8, 8]^4.  The test reads only d; chance is 24 of 40 (always "member")
+    params = VssParams.desk()
+    lwe = params.lwe
+    rs = np.indices((17,) * lwe.n).reshape(lwe.n, -1).T - 8
+    right = 0
+    for seed in range(8):
+        for bundle in deal(Secret(3, 31), [(1, 2, 3)], 5, params, seed=seed):
+            t = link_products(bundle.instances[0].d_matrix, lwe)
+            shifts = rs @ t[:lwe.w_bar]
+            near = [((c >= -128) & (c <= 160)).all(axis=1).any()
+                    for c in (centered(t[lwe.w_bar + i * lwe.d] + shifts, lwe.q)
+                              for i in range(lwe.n))]
+            right += all(near) == (bundle.party in (1, 2, 3))
+    assert right <= 30, f"{right} of 40 roles read off one share"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 16 and 4: an adjacent pair inverts its link")
+def test_no_pair_inverts_a_link():
+    # party i's T_i = D_i A_i is A_{i+1} S^{e_i} + E when party i+1 follows i
+    # in the chain, so the pair finds X = S^{e_i} mod p by trying every X in
+    # [0, p)^n column by column against party j's A: screened on the first
+    # row, then checked on all, residuals within 64.  Item 16 takes A out of
+    # the share, and this test must then be rewritten
+    params = VssParams.desk()
+    lwe = params.lwe
+    xs = np.indices((lwe.p,) * lwe.n).reshape(lwe.n, -1).T
+    inverted = []
+    for seed in range(3):
+        shares = {b.party: b.instances[0]
+                  for b in deal(Secret(3, 31), [(1, 2, 3)], 5, params, seed=seed)}
+        ts = {i: link_products(share.d_matrix, lwe) for i, share in shares.items()}
+        for j, share in shares.items():
+            a = share.a_matrix
+            first = xs @ a[0] % lwe.q
+            for i, t in ts.items():
+                if i == j:
+                    continue
+                found = []
+                for col in t.T:
+                    screened = xs[np.abs(centered(first - col[0], lwe.q)) <= 64]
+                    found.append(any((np.abs(centered(a @ x - col, lwe.q)) <= 64).all()
+                                     for x in screened))
+                if all(found):
+                    inverted.append((seed, i, j))
+    assert not inverted, f"{len(inverted)} of 60 ordered pairs inverted a link"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: verdicts blame honest parties")

@@ -11,6 +11,7 @@ from veilshare.tokens import (
     DEFAULT_N,
     KAPPA,
     TokenEncodingError,
+    _encoding_structure,
     combine_tokens,
     default_token_systems,
     encode_access_structure,
@@ -34,9 +35,9 @@ def all_subsets(parties):
         yield from itertools.combinations(range(1, parties + 1), r)
 
 
-def encode(system, parties, omega, seed):
+def encode(parties, omega, seed):
     rng = named_stream(seed, "tokens-test", parties, omega)
-    return encode_access_structure(parties, omega, system, rng)
+    return encode_access_structure(parties, omega, rng)
 
 
 def test_default_systems_have_restricted_intersections_under_both_moduli(system):
@@ -54,51 +55,46 @@ def test_default_systems_take_one_modulus():
 
 
 def test_membership_test_numeric_edges():
-    assert membership_test(30, 15) is True
-    assert membership_test(31, 15) is False
-    assert membership_test(105, 15) is True
-    assert membership_test(frozenset(range(39)), 39) is True
+    assert membership_test(frozenset(range(39))) is True
+    assert membership_test(frozenset(range(40))) is False
+    assert membership_test(frozenset(range(78))) is True
     # an empty intersection is 0 mod everything, and still never authorized
-    assert membership_test(0, 39) is False
-    assert membership_test(frozenset(), 39) is False
+    assert membership_test(frozenset()) is False
 
 
 def test_deal_builds_no_gram_matrix():
     # H and its supersets are read off the merge layout, so dealing never
     # forms the 783 x 783 Gram matrix (or its 81 MB float operand)
-    default_token_systems.cache_clear()
-    system = default_token_systems(DEFAULT_M, DEFAULT_M, DEFAULT_N, DEFAULT_L)
     deal(Secret(3, 31), [(1, 2)], 3, VssParams.desk(), seed=1)
-    assert default_token_systems.cache_info().currsize == 1
-    assert not hasattr(system, "_gram")
+    assert not hasattr(_encoding_structure()[0], "_gram")
 
 
-def test_example_instance_authorized_and_not(system):
-    inst = encode(system, 5, (1, 2, 3), seed=101)
+def test_example_instance_authorized_and_not():
+    inst = encode(5, (1, 2, 3), seed=101)
     assert subset_is_authorized(inst, [1, 2, 3]) is True
     assert subset_is_authorized(inst, [1, 2, 4, 5]) is False
 
 
-def test_all_coalitions_at_five_parties(system):
-    inst = encode(system, 5, (1, 2, 3), seed=102)
+def test_all_coalitions_at_five_parties():
+    inst = encode(5, (1, 2, 3), seed=102)
     for subset in all_subsets(5):
         assert subset_is_authorized(inst, subset) == closure_member(subset, (1, 2, 3))
 
 
-def test_combined_tokens_values(system):
-    inst = encode(system, 5, (2, 4), seed=103)
+def test_combined_tokens_values():
+    inst = encode(5, (2, 4), seed=103)
     tokens = {p: inst.token_for(p) for p in range(1, 6)}
     # a single token combines to itself
     assert combine_tokens([tokens[1]]) == tokens[1]
     # authorized coalitions all reach gamma(H)
     gamma_h = frozenset(inst.authorized_element_ids())
-    assert len(gamma_h) % inst.m == 0
+    assert len(gamma_h) % DEFAULT_M == 0
     for subset in all_subsets(5):
         combined = combine_tokens([tokens[p] for p in subset])
         if closure_member(subset, (2, 4)):
             assert combined == gamma_h
         else:
-            assert len(combined) % inst.m != 0
+            assert len(combined) % DEFAULT_M != 0
 
 
 FIXED_CASES = [
@@ -127,53 +123,53 @@ def soundness_cases():
 
 
 @pytest.mark.parametrize("parties,omega,seed", soundness_cases())
-def test_exhaustive_soundness_and_completeness(system, parties, omega, seed):
-    inst = encode(system, parties, omega, seed=seed)
+def test_exhaustive_soundness_and_completeness(parties, omega, seed):
+    inst = encode(parties, omega, seed=seed)
     for subset in all_subsets(parties):
         assert subset_is_authorized(inst, subset) == closure_member(subset, omega)
 
 
-def test_eight_party_instance_exhaustive(system):
-    inst = encode(system, 8, (2, 3, 5, 6, 7, 8), seed=42)
+def test_eight_party_instance_exhaustive():
+    inst = encode(8, (2, 3, 5, 6, 7, 8), seed=42)
     for subset in all_subsets(8):
         assert subset_is_authorized(inst, subset) == closure_member(subset, (2, 3, 5, 6, 7, 8))
 
 
-def test_permutation_invariance(system):
+def test_permutation_invariance():
     verdicts = []
     for seed in (7, 8):
         rng = named_stream(seed, "perm")
-        inst = encode_access_structure(5, (1, 3), system, rng)
+        inst = encode_access_structure(5, (1, 3), rng)
         verdicts.append([subset_is_authorized(inst, s) for s in all_subsets(5)])
     assert verdicts[0] == verdicts[1]
     # but the token bytes themselves differ
-    a = encode(system, 5, (1, 3), seed=7).token_for(1)
-    b = encode(system, 5, (1, 3), seed=8).token_for(1)
+    a = encode(5, (1, 3), seed=7).token_for(1)
+    b = encode(5, (1, 3), seed=8).token_for(1)
     assert a != b
 
 
-def test_kappa_constraint(system):
+def test_kappa_constraint():
     # KAPPA = 2 needs l + |Omega| + 2 < 13, so |Omega| <= 8
     assert KAPPA == 2
-    inst = encode(system, 8, tuple(range(1, 9)), seed=9)
+    inst = encode(8, tuple(range(1, 9)), seed=9)
     assert subset_is_authorized(inst, range(1, 9)) is True
     with pytest.raises(TokenEncodingError):
-        encode(system, 9, tuple(range(1, 10)), seed=77)
+        encode(9, tuple(range(1, 10)), seed=77)
     with pytest.raises(TokenEncodingError):
-        encode(system, 12, tuple(range(1, 12)), seed=9)
+        encode(12, tuple(range(1, 12)), seed=9)
 
 
-def test_omega_validation(system):
+def test_omega_validation():
     with pytest.raises(TokenEncodingError):
-        encode(system, 5, (), seed=1)
+        encode(5, (), seed=1)
     with pytest.raises(TokenEncodingError):
-        encode(system, 5, (0, 2), seed=1)
+        encode(5, (0, 2), seed=1)
     with pytest.raises(TokenEncodingError):
-        encode(system, 5, (6,), seed=1)
+        encode(5, (6,), seed=1)
 
 
-def test_tokens_are_subsets_of_gamma_h_zero(system):
-    inst = encode(system, 5, (1, 2, 3), seed=110)
+def test_tokens_are_subsets_of_gamma_h_zero():
+    inst = encode(5, (1, 2, 3), seed=110)
     gamma_h0 = {int(inst.gamma[e]) for e in inst.h_zero}
     for p in range(1, 6):
         token = inst.token_for(p)
@@ -181,7 +177,7 @@ def test_tokens_are_subsets_of_gamma_h_zero(system):
         assert token <= gamma_h0
 
 
-def test_hiding_surrogate_token_size_multisets(system):
+def test_hiding_surrogate_token_size_multisets():
     """Across two hidden Omega of equal size, the unordered per-instance
     multiset of token sizes is identically distributed."""
     trials = 500     # two-sample comparison over 10^3 trials total
@@ -191,7 +187,7 @@ def test_hiding_surrogate_token_size_multisets(system):
         counter = Counter()
         for t in range(trials):
             rng = named_stream(2024, "hiding", tag, t)
-            inst = encode_access_structure(parties, omega, system, rng)
+            inst = encode_access_structure(parties, omega, rng)
             sizes = tuple(sorted(len(inst.token_for(p))
                                  for p in range(1, parties + 1)))
             counter[sizes] += 1

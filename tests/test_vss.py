@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,24 @@ def test_gamma0_validation():
         deal(SECRET, [(0, 1)], 5, PARAMS, seed=1)
     with pytest.raises(VssError):
         deal(Secret(3, 31), [(1,)], 5, VssParams.desk(p=11, q_bits=28), seed=1)
+
+
+def test_party_count_is_refused_before_anything_per_party():
+    # H has 27 supersets and H_0 takes one, so 26 parties fit.  deal built one
+    # list per party, and validate a set of 1..parties, before the token layer
+    # refused: 170 and 237 MiB max RSS at 10**6 parties
+    params = VssParams.desk()
+    token_id_bound()            # builds the token system outside the trace
+    for refused in (lambda: deal(Secret(3, 31), [(1, 2)], 10**6, params, seed=1),
+                    lambda: SimulationConfig(parties=10**6).validate()):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                refused()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak} B traced before the refusal"
 
 
 def test_single_member_omega():
