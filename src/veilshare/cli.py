@@ -17,8 +17,7 @@ from .numt import Modulus
 from .rng import named_stream
 from .setsys import build_grolmusz_system, merge_systems, verify_restricted_intersections
 from .sim import SimulationConfig, run_simulation
-from .tokens import TokenEncodingError, combine_tokens, encode_access_structure, \
-    membership_test, read_token
+from .tokens import combine_tokens, encode_access_structure, membership_test, read_token
 from .vss import (
     HeaderUnavailableError,
     Secret,
@@ -99,12 +98,11 @@ def cmd_setsys_build(args) -> int:
 def cmd_setsys_verify(args) -> int:
     payload = serial.deserialize(_read(args.file), "set-system")
     system = serial.doc_set_system(payload)
-    t = args.t if args.t is not None else payload.get("t", 3)
-    l = args.l if args.l is not None else payload.get("l")
-    # type() is int refuses the JSON booleans and strings int() would take
-    for name, value in (("t", t), ("l", 2 if l is None else l)):
-        if type(value) is not int or value < 2:
-            raise ValueError(f"{name} must be an integer of at least 2, not {value!r}")
+    payload.update({name: value for name, value in (("t", args.t), ("l", args.l))
+                    if value is not None})
+    t = serial.read_int(payload.get("t", 3), "t", 2)
+    # l may be absent, but a null l is no integer
+    l = serial.read_int(payload["l"], "l", 2) if "l" in payload else None
     report = verify_restricted_intersections(system, t=t, l=l,
                                              samples=args.samples, seed=args.seed)
     _emit(args, "intersection-report", report.to_doc())
@@ -128,21 +126,13 @@ def cmd_tokens_gen(args) -> int:
 def cmd_tokens_test(args) -> int:
     payload = serial.deserialize(_read(args.file), "token-instance")
     subset = _parse_subset(args.subset)
-    fields = {"instance_id", "parties", "tokens"}
-    if not isinstance(payload, dict) or payload.keys() != fields:
-        raise serial.SerializationError(
-            f"token file must be exactly the fields {', '.join(sorted(fields))}")
-    parties, tokens = payload["parties"], payload["tokens"]
+    serial.read_fields(payload, "token file", ("instance_id", "parties", "tokens"))
     if not isinstance(payload["instance_id"], str):
         raise serial.SerializationError("instance_id must be a string")
-    # type() is int refuses the JSON booleans and strings int() would take
-    if type(parties) is not int or parties < 1:
-        raise serial.SerializationError(f"parties must be an integer of at least 1, "
-                                        f"not {parties!r}")
-    # the length check first, so a huge parties builds no huge key set
-    if not isinstance(tokens, dict) or len(tokens) != parties \
-            or tokens.keys() != {str(p) for p in range(1, parties + 1)}:
-        raise serial.SerializationError(f"tokens must map exactly the parties 1 to {parties}")
+    parties = serial.read_int(payload["parties"], "parties", 1)
+    # lazy names, so a huge parties builds no huge set of them
+    tokens = serial.read_fields(payload["tokens"], "tokens",
+                                map(str, range(1, parties + 1)))
     read = {int(p): read_token(token) for p, token in tokens.items()}
     if not subset or any(p not in read for p in subset):
         raise ValueError("subset must name parties present in the token file")
@@ -313,8 +303,7 @@ def main(argv=None) -> int:
     except IOFailure as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_IO
-    except (VssError, TokenEncodingError, serial.SerializationError,
-            ValueError) as exc:
+    except (VssError, ValueError) as exc:
         sys.stderr.write(f"invalid: {exc}\n")
         return EXIT_VALIDATION
 

@@ -28,6 +28,7 @@ not serialize back to the same bytes.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 
 import numpy as np
@@ -95,14 +96,43 @@ def deserialize(data: bytes, expect_kind: str):
                          parse_float=_no_float, parse_constant=_no_float)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SerializationError(f"malformed document: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"schema", "version", "payload"}:
-        raise SerializationError("document must carry schema, version and payload")
+    read_fields(doc, "document", ("schema", "version", "payload"))
     if doc["version"] != VERSION:
         raise SerializationError(f"unsupported version {doc['version']!r}")
     if doc["schema"] != expect_kind:
         raise SerializationError(
             f"expected schema {expect_kind!r}, found {doc['schema']!r}")
     return doc["payload"]
+
+
+def read_fields(doc, what: str, names, optional=()) -> dict:
+    """doc if it is a JSON object of exactly names plus any of optional.
+
+    Of a lazy names, no more is read than one past the object's size.
+    """
+    if not isinstance(doc, dict):
+        raise SerializationError(f"{what} must be a JSON object")
+    names = list(itertools.islice(names, len(doc) + 1))
+    if not set(names) <= doc.keys() <= {*names, *optional}:
+        extra = f" and an optional {', '.join(optional)}" if optional else ""
+        raise SerializationError(f"{what} must be exactly the fields {', '.join(names)}{extra}")
+    return doc
+
+
+def read_int(value, what: str, low: int | None = None) -> int:
+    """value if it is a JSON integer of at least low: type() is int refuses
+    the strings, floats and booleans that int() and isinstance would take."""
+    if type(value) is not int or (low is not None and value < low):
+        floor = "" if low is None else f" of at least {low}"
+        raise SerializationError(f"{what} must be an integer{floor}")
+    return value
+
+
+def read_ints(value, what: str) -> list[int]:
+    """value if it is a list of JSON integers."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise SerializationError(f"{what} must be a list of integers")
+    return value
 
 
 def to_b64(data: bytes) -> str:
@@ -156,22 +186,15 @@ def _reshape(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
         raise SerializationError(f"matrix shape is out of range: {exc}") from exc
 
 
-def _doc_ints(doc, fields: tuple[str, ...]) -> tuple[int, ...]:
-    """The integer fields of a binary matrix document, which holds them and b64 only."""
-    if not isinstance(doc, dict) or doc.keys() != {*fields, "b64"}:
-        raise SerializationError(
-            f"a matrix document is exactly {', '.join(fields)} and b64")
-    values = tuple(doc[f] for f in fields)
-    if any(type(v) is not int for v in values):
-        raise SerializationError(
-            f"matrix {', '.join(fields[:-1])} and {fields[-1]} must be integers")
-    if values[0] < 0 or values[1] < 0:
-        raise SerializationError("matrix shape must be nonnegative")
-    return values
+def _doc_ints(doc, width: str) -> tuple[int, int, int]:
+    """rows, cols and width of a binary matrix document, which holds them and b64 only."""
+    read_fields(doc, "matrix document", ("rows", "cols", width, "b64"))
+    return (read_int(doc["rows"], "matrix rows", 0), read_int(doc["cols"], "matrix cols", 0),
+            read_int(doc[width], f"matrix {width}"))
 
 
 def doc_matrix(doc: dict) -> np.ndarray:
-    rows, cols, bits = _doc_ints(doc, ("rows", "cols", "bits"))
+    rows, cols, bits = _doc_ints(doc, "bits")
     if not 1 <= bits <= 64:
         raise SerializationError(f"matrix bits must lie in [1, 64], not {bits}")
     data = from_b64(doc["b64"])
@@ -232,7 +255,7 @@ def rice_doc(mat) -> dict:
 
 def doc_rice(doc: dict) -> np.ndarray:
     """Matrix of a Rice document; anything rice_doc would not write is refused."""
-    rows, cols, k = _doc_ints(doc, ("rows", "cols", "k"))
+    rows, cols, k = _doc_ints(doc, "k")
     if not 0 <= k < RICE_BITS:
         raise SerializationError(f"Rice k must lie in [0, {RICE_BITS - 1}], not {k}")
     data = from_b64(doc["b64"])
@@ -281,22 +304,18 @@ def doc_set_system(payload: dict):
     from .numt import Modulus
     from .setsys import SetSystem, require_cells
 
-    fields = {"m", "universe_size", "sets", "labels", "t", "l"}
-    if not isinstance(payload, dict) or not payload.keys() <= fields:
-        raise SerializationError(f"set-system fields must lie in {', '.join(sorted(fields))}")
-    try:
-        h, rows, m = payload["universe_size"], payload["sets"], payload["m"]
-    except KeyError as exc:
-        raise SerializationError("set-system document is missing fields") from exc
-    # type() is int refuses the strings, floats and booleans int() would take
-    if type(h) is not int or type(m) is not int:
-        raise SerializationError("set-system m and universe_size must be integers")
-    labels = payload.get("labels", [])
-    if not isinstance(rows, list) or not isinstance(labels, list):
-        raise SerializationError("set-system sets and labels must be lists")
-    if any(not isinstance(row, list) or any(type(v) is not int for v in row)
-           for row in rows):
-        raise SerializationError("set elements must be integers")
+    read_fields(payload, "set-system document", ("m", "universe_size", "sets"),
+                optional=("labels", "t", "l"))
+    h = read_int(payload["universe_size"], "set-system universe_size")
+    m = read_int(payload["m"], "set-system m")
+    rows, labels = payload["sets"], payload.get("labels", [])
+    if not isinstance(rows, list):
+        raise SerializationError("set-system sets must be a list")
+    for row in rows:
+        read_ints(row, "each set")
+    # set_system_doc writes every label as a string
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise SerializationError("set-system labels must be a list of strings")
     # an element in no member set changes no size and no intersection, so a
     # larger universe would only allocate what the file never spells out
     entries = sum(len(row) for row in rows)

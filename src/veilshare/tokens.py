@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numt import Modulus
-from .serial import SerializationError
+from .serial import SerializationError, read_ints
 from .setsys import SetSystem, build_grolmusz_system, merge_layout, merge_systems
 
 DEFAULT_M = 39
@@ -78,15 +78,18 @@ def default_token_systems(m: int = DEFAULT_M, m_prime: int = DEFAULT_M,
     return merge_systems(build_grolmusz_system(Modulus.of(m), n), l)
 
 
+@functools.cache
 def token_id_bound() -> int:
     """One past the largest element id a default token can hold.
 
     Ids permute the universe plus |Omega| + KAPPA tag elements, and
     encode_access_structure keeps l + |Omega| + KAPPA below the largest
-    prime of m.
+    prime of m.  The merged universe is l copies of G's, so reading a
+    token never builds the merged system.
     """
-    system = _encoding_structure()[0]
-    return system.universe_size + max(system.modulus.primes) - DEFAULT_L - 1
+    m = Modulus.of(DEFAULT_M)
+    universe = DEFAULT_L * build_grolmusz_system(m, DEFAULT_N).universe_size
+    return universe + max(m.primes) - DEFAULT_L - 1
 
 
 def check_party_count(parties: int) -> None:
@@ -102,8 +105,7 @@ def read_token(doc) -> frozenset[int]:
     That is a nonempty, strictly increasing list of integer ids below
     token_id_bound(): the one order writers use, with no repeats.
     """
-    if not isinstance(doc, list) or any(type(v) is not int for v in doc):
-        raise SerializationError("token must be a list of integers")
+    doc = read_ints(doc, "token")
     if not doc or any(a >= b for a, b in zip(doc, doc[1:])):
         raise SerializationError("token must be nonempty and strictly increasing")
     bound = token_id_bound()

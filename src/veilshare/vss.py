@@ -133,12 +133,8 @@ class VssParams:
     @classmethod
     def from_doc(cls, doc: dict) -> "VssParams":
         fields = ("n", "p", "q")
-        # type() is int refuses JSON booleans, which isinstance would let through
-        if not isinstance(doc, dict) or doc.keys() != set(fields) \
-                or any(type(doc[f]) is not int for f in fields):
-            raise serial.SerializationError(
-                f"params must be exactly the integers {', '.join(fields)}")
-        return cls(LweParams(n=doc["n"], p=doc["p"], q=doc["q"]))
+        serial.read_fields(doc, "params", fields)
+        return cls(LweParams(*(serial.read_int(doc[f], f"params {f}") for f in fields)))
 
 
 KEY_SHARE_BYTES = 32
@@ -166,10 +162,8 @@ class InstanceShare:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InstanceShare":
-        fields = {"instance_id", "token", "a", "d", "header_ct", "key_share"}
-        if not isinstance(doc, dict) or doc.keys() != fields:
-            raise serial.SerializationError(
-                f"instance share must be exactly the fields {', '.join(sorted(fields))}")
+        serial.read_fields(doc, "instance share",
+                           ("instance_id", "token", "a", "d", "header_ct", "key_share"))
         token, instance_id = read_token(doc["token"]), doc["instance_id"]
         if not isinstance(instance_id, str):
             raise serial.SerializationError("instance_id must be a string")
@@ -207,16 +201,11 @@ class ShareBundle:
 
         The pad that serialize_bundles writes is optional and all spaces.
         """
-        fields = {"party", "params", "instances"}
-        if not isinstance(doc, dict) or doc.keys() - {"pad"} != fields:
-            raise serial.SerializationError(
-                f"share bundle must be exactly the fields {', '.join(sorted(fields))} "
-                "and an optional pad")
-        pad, party = doc.get("pad", ""), doc["party"]
+        serial.read_fields(doc, "share bundle", ("party", "params", "instances"),
+                           optional=("pad",))
+        pad, party = doc.get("pad", ""), serial.read_int(doc["party"], "party", 1)
         if not isinstance(pad, str) or pad.strip(" "):
             raise serial.SerializationError("pad must be a string of spaces")
-        if type(party) is not int or party < 1:
-            raise serial.SerializationError("party must be an integer of at least 1")
         if not isinstance(doc["instances"], list):
             raise serial.SerializationError("instances must be a list")
         try:
@@ -420,17 +409,12 @@ def _check_header(header) -> None:
     Any authorized coalition holds the header key, so it can seal anything;
     the header is input like a share file, not trusted dealer output.
     """
-    fields = {"order", "exponents", "a_bar", "r_term"}
-    if not isinstance(header, dict) or header.keys() != fields:
-        raise serial.SerializationError(
-            f"header must be exactly the fields {', '.join(sorted(fields))}")
-    order, exps = header["order"], header["exponents"]
-    if not isinstance(order, list) or not order or any(type(v) is not int for v in order) \
-            or len(set(order)) != len(order):
-        raise serial.SerializationError("header order must be a nonempty list of distinct integers")
-    if not isinstance(exps, list) or len(exps) != len(order) \
-            or any(type(v) is not int for v in exps):
-        raise serial.SerializationError("header exponents must be one integer per chain member")
+    serial.read_fields(header, "header", ("order", "exponents", "a_bar", "r_term"))
+    order = serial.read_ints(header["order"], "header order")
+    if not order or len(set(order)) != len(order):
+        raise serial.SerializationError("header order must be nonempty and distinct")
+    if len(serial.read_ints(header["exponents"], "header exponents")) != len(order):
+        raise serial.SerializationError("header exponents must be one per chain member")
 
 
 def _read_chains(bundles: list[ShareBundle]):

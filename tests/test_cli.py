@@ -277,9 +277,9 @@ RICE_VALUES = [int(v) for v in RICE.flat]
 RICE_BITS_STR = rice_by_loop(RICE_VALUES, 1)
 # the canonical-code cases on a dealt D are in test_cli_hostile_coded_d_exits_2
 HOSTILE_RICE_DOCS = {                   # name: (fields changed, reason refused)
-    "bits instead of k": ({"k": None, "bits": 1}, "exactly rows, cols, k and b64"),
-    "k=True": ({"k": True}, "must be integers"),
-    "k=1.0": ({"k": 1.0}, "must be integers"),
+    "bits instead of k": ({"k": None, "bits": 1}, "exactly the fields rows, cols, k, b64"),
+    "k=True": ({"k": True}, "matrix k must be an integer"),
+    "k=1.0": ({"k": 1.0}, "matrix k must be an integer"),
     "k=2**70": ({"k": 2**70}, "k must lie in [0, 30]"),
     "nonzero pad bit": ({"b64": stream_b64(RICE_BITS_STR + "1")}, "nonzero pad bits"),
     "unterminated unary": ({"b64": stream_b64(RICE_BITS_STR[:-1])}, "fewer codes"),

@@ -1,10 +1,11 @@
 """Attacks on access-structure hiding, run as a coalition would run them.
 
-Four attacks need no coalition: two solve a share's public matrices
-for its trapdoor, and two read a party's role, one off its token size and
-one off its encoding.  A fifth has two parties invert the link between
-them, and a sixth test counts the honest parties that verification blames
-next to a cheater.  All six still succeed, so each is a strict xfail
+Five attacks need no coalition: two solve a share's public matrices
+for its trapdoor, two read a party's role, one off its token size and
+one off its encoding, and one reads |Omega| and |Gamma0| off byte lengths.
+A sixth has two parties invert the link between them, and a seventh test
+counts the honest parties that verification blames next to a cheater.
+All seven still succeed, so each is a strict xfail
 naming the ROADMAP item that fixes it: the run fails once an attack stops
 working, and the fix removes the marker.
 
@@ -34,6 +35,7 @@ from veilshare.vss import (
     deal,
     header_keys,
     open_header,
+    serialize_bundles,
 )
 
 CAP = 2**12
@@ -107,6 +109,37 @@ def test_token_size_does_not_give_away_role():
     outsider_sizes = {size for size, member in sizes(range(20)) if not member}
     guesses = [(size not in outsider_sizes) == member for size, member in sizes(range(20, 40))]
     assert sum(guesses) <= 0.6 * len(guesses), f"{sum(guesses)} of {len(guesses)} roles guessed"
+
+
+# nine structures over five parties: |Gamma0| and each |Omega| run over 1, 2, 3
+GAMMAS = [[(1,)], [(1, 2)], [(1, 2, 3)],
+          [(1,), (2, 3)], [(1, 2), (3, 4, 5)], [(1, 2, 3), (4,)],
+          [(1,), (2,), (3, 4, 5)], [(1, 2), (3, 4), (5,)], [(1, 2, 3), (4,), (5,)]]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: lengths give away |Omega| and |Gamma0|")
+def test_lengths_do_not_give_away_the_structure():
+    # an attacker deals 100 structures of its own and learns which header_ct
+    # length goes with which |Omega| and which share length with which
+    # |Gamma0|, then reads 100 fresh dealings off the nearest length it saw.
+    # Always guessing the commonest size scores about 4 of 9 and 1 of 3
+    headers, shares = [], []
+    for seed in range(200):
+        gamma0 = GAMMAS[seed % len(GAMMAS)]
+        bundles = deal(Secret(3, 31), gamma0, 5, VssParams.desk(), seed=seed)
+        shares.append((seed, len(serialize_bundles(bundles)[0]), len(gamma0)))
+        headers += [(seed, len(inst.header_ct), len(omega))
+                    for omega, inst in zip(gamma0, bundles[0].instances)]
+
+    def read_off(samples):
+        seen = [(n, size) for seed, n, size in samples if seed < 100]
+        fresh = [(n, size) for seed, n, size in samples if seed >= 100]
+        right = sum(min(seen, key=lambda s: abs(s[0] - n))[1] == size for n, size in fresh)
+        return right, len(fresh)
+
+    (omega_right, omegas), (gamma_right, gammas) = read_off(headers), read_off(shares)
+    assert omega_right <= 0.6 * omegas and gamma_right <= 0.6 * gammas, \
+        f"{omega_right} of {omegas} |Omega| and {gamma_right} of {gammas} |Gamma0| read off lengths"
 
 
 def link_products(d, lwe):

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from veilshare import serial, setsys, tokens
 from veilshare.rng import named_stream
 from veilshare.setsys import verify_restricted_intersections
 from veilshare.tokens import (
@@ -17,8 +18,9 @@ from veilshare.tokens import (
     encode_access_structure,
     membership_test,
     subset_is_authorized,
+    token_id_bound,
 )
-from veilshare.vss import Secret, VssParams, deal
+from veilshare.vss import Secret, ShareBundle, VssParams, deal, serialize_bundles
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,35 @@ def test_deal_builds_no_gram_matrix():
     # forms the 783 x 783 Gram matrix (or its 81 MB float operand)
     deal(Secret(3, 31), [(1, 2)], 3, VssParams.desk(), seed=1)
     assert not hasattr(_encoding_structure()[0], "_gram")
+
+
+def test_token_id_bound_is_the_merged_universe_plus_the_tag_room():
+    # 2,340 universe elements, and l + |Omega| + KAPPA < 13 leaves 10 tags
+    assert token_id_bound() == _encoding_structure()[0].universe_size + 13 - 3 == 2350
+
+
+def test_reading_a_share_builds_no_token_system(monkeypatch):
+    # token_id_bound read the bound off the merged 783 x 2,340 system, so the
+    # first share a reader parsed built the whole system to learn 2,350
+    bundle = deal(Secret(3, 31), [(1, 2)], 3, VssParams.desk(), seed=1)[0]
+    payload = serial.deserialize(serialize_bundles([bundle])[0], "share-bundle")
+
+    class Merged(Exception):
+        pass
+
+    def merged(*args):
+        raise Merged
+
+    caches = [f for f in vars(tokens).values() if hasattr(f, "cache_clear")]
+    for f in caches:
+        f.cache_clear()
+    monkeypatch.setattr(setsys, "merge_systems", merged)
+    monkeypatch.setattr(tokens, "merge_systems", merged)
+    try:
+        assert ShareBundle.from_doc(payload).party == 1
+    finally:
+        for f in caches:        # nothing built under the patch stays cached
+            f.cache_clear()
 
 
 def test_example_instance_authorized_and_not():

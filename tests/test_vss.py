@@ -133,7 +133,7 @@ def test_party_count_is_refused_before_anything_per_party():
     # list per party, and validate a set of 1..parties, before the token layer
     # refused: 170 and 237 MiB max RSS at 10**6 parties
     params = VssParams.desk()
-    token_id_bound()            # builds the token system outside the trace
+    vss.check_party_count(1)    # builds the token system outside the trace
     for refused in (lambda: deal(Secret(3, 31), [(1, 2)], 10**6, params, seed=1),
                     lambda: SimulationConfig(parties=10**6).validate()):
         tracemalloc.start()
@@ -337,7 +337,7 @@ def test_params_doc_roundtrip():
         assert doc.keys() == {"n", "p", "q"}
         assert VssParams.from_doc(doc) == params
     # the five-field profile of share format 5 is refused
-    with pytest.raises(serial.SerializationError, match="exactly the integers n, p, q"):
+    with pytest.raises(serial.SerializationError, match="params must be exactly the fields n, p, q"):
         VssParams.from_doc({**VssParams.desk().to_doc(), "lam": 512, "c_bound_milli": 4000})
 
 
