@@ -1,10 +1,12 @@
 """Canonical, self-describing serialization.
 
-Documents are JSON objects {"schema": <kind>, "version": 6, "payload": ...}
+Documents are JSON objects {"schema": <kind>, "version": 7, "payload": ...}
 rendered with sorted keys and no whitespace, so a fixed input always
-produces the same bytes.  Integers are arbitrary precision; floats are
-refused outright to keep byte output platform independent.  Documents of
-any other version, and objects that repeat a key, are refused.
+produces the same bytes; equalize_lengths pads siblings to one length
+with spaces after the JSON, which every reader skips.  Integers are
+arbitrary precision; floats are refused outright to keep byte output
+platform independent.  Documents of any other version, and objects that
+repeat a key, are refused.
 
 Binary fields are canonical base64 text, and a matrix is written in one
 of two forms, both row-major and packed least significant bit first with
@@ -33,7 +35,7 @@ import json
 
 import numpy as np
 
-VERSION = 6
+VERSION = 7
 RICE_BITS = 31                   # Rice-coded magnitudes lie below 2**RICE_BITS
 
 KNOWN_SCHEMAS = {
@@ -313,9 +315,11 @@ def doc_set_system(payload: dict):
         raise SerializationError("set-system sets must be a list")
     for row in rows:
         read_ints(row, "each set")
-    # set_system_doc writes every label as a string
+    # set_system_doc writes every label as a string, and no labels or one per set
     if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
         raise SerializationError("set-system labels must be a list of strings")
+    if len(labels) not in (0, len(rows)):
+        raise SerializationError("set-system labels must be none or one per set")
     # an element in no member set changes no size and no intersection, so a
     # larger universe would only allocate what the file never spells out
     entries = sum(len(row) for row in rows)
@@ -334,23 +338,9 @@ def doc_set_system(payload: dict):
 def equalize_lengths(docs: list[dict], kind: str) -> list[bytes]:
     """Serialize sibling documents padded to one common byte length.
 
-    Each payload gets a string "pad" field at its top level, overriding
-    any it carries; spaces are appended inside it until all siblings
-    match.  The documents themselves are left untouched.
+    Spaces go before each document's final newline, up to the longest
+    sibling; a reader skips them as it skips any whitespace after JSON.
     """
-    marker = b'"pad":""'
-    blobs = []
-    for doc in docs:
-        blob = serialize(kind, {**doc, "pad": ""})
-        if blob.count(marker) != 1:
-            raise SerializationError("payload must carry exactly one empty pad field")
-        blobs.append(blob)
-    target = max(len(b) for b in blobs)
-    out = []
-    for blob in blobs:
-        fill = b" " * (target - len(blob))
-        padded = blob.replace(marker, b'"pad":"' + fill + b'"', 1)
-        if len(padded) != target:
-            raise SerializationError("padding failed to equalize byte lengths")
-        out.append(padded)
-    return out
+    blobs = [serialize(kind, doc) for doc in docs]
+    target = max(len(blob) for blob in blobs)
+    return [blob[:-1].ljust(target - 1) + b"\n" for blob in blobs]

@@ -26,10 +26,11 @@ header carries the terminal trapdoor as R and the uniform top block
 A_bar (w_bar x n) of A_term; the reader rebuilds A_term = [A_bar;
 G - R A_bar mod q] with lattice.planted_trapdoor, which trapdoor_gen
 builds every trapdoor with.  Parties outside the chain receive decoy
-matrices and encodings drawn from the same marginal distributions, and
-serialize_bundles pads every serialized bundle to one byte length.  A
-share writes its A at a fixed width and its encoding D Rice coded
-(serial.rice_doc), since D's entries are small and mostly near zero.
+matrices and encodings drawn from the same marginal distributions, one
+preimage batch with a row per share serving members and outsiders
+alike, and serialize_bundles pads every bundle with spaces to one byte
+length.  A share writes its A at a fixed width and its encoding D Rice
+coded (serial.rice_doc), since D's entries are small and mostly near zero.
 
 Verification is communication free and runs after reconstruction: for
 each chain position j the suffix product D_last ... D_j A_j is inverted
@@ -197,15 +198,9 @@ class ShareBundle:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ShareBundle":
-        """Parse a bundle that serializes back to the same bytes.
-
-        The pad that serialize_bundles writes is optional and all spaces.
-        """
-        serial.read_fields(doc, "share bundle", ("party", "params", "instances"),
-                           optional=("pad",))
-        pad, party = doc.get("pad", ""), serial.read_int(doc["party"], "party", 1)
-        if not isinstance(pad, str) or pad.strip(" "):
-            raise serial.SerializationError("pad must be a string of spaces")
+        """Parse a bundle that serializes back to the same bytes."""
+        serial.read_fields(doc, "share bundle", ("party", "params", "instances"))
+        party = serial.read_int(doc["party"], "party", 1)
         if not isinstance(doc["instances"], list):
             raise serial.SerializationError("instances must be a list")
         try:
@@ -335,26 +330,22 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
         s_mat = sample_prim_secret(n, p, rng, det_value=secret.k)
         s_pows = [matrix_power_mod(s_mat, e, p) for e in exps]
 
-        chain = [trapdoor_gen(lwe, rng=rng) for _ in range(len(order) + 1)]
+        # one row per share: the chain members in chain order, then a decoy
+        # trapdoor and a uniform target for each outsider
         outsiders = [party for party in range(1, parties + 1) if party not in omega]
-        decoys = {party: trapdoor_gen(lwe, rng=rng) for party in outsiders}
+        chain = [trapdoor_gen(lwe, rng=rng) for _ in range(len(order) + 1)]
+        traps = chain[:-1] + [trapdoor_gen(lwe, rng=rng) for _ in outsiders]
 
         # the decode an authorized coalition will run, done once here: a
         # chain whose error outgrows the bound is redrawn, then refused
         for _ in range(CHAIN_DRAWS):
-            link_targets = []
-            for pos in range(len(order)):
-                e_mat = _sample_error(rng, lwe, (lwe.w, n))
-                link_targets.append(np.asarray(
-                    np.mod(matmul_mod(chain[pos + 1].A, s_pows[pos], q) + e_mat, q),
-                    dtype=np.int64))
-            decoy_targets = {party: rng.integers(0, q, size=(lwe.w, n), dtype=np.int64)
-                             for party in outsiders}
-            encodings = sample_preimage_batch(
-                chain[:-1] + [decoys[p] for p in outsiders],
-                link_targets + [decoy_targets[p] for p in outsiders], rng)
-            d_mats = encodings[: len(order)]
-            walk = _chain_walk([(t.A, d) for t, d in zip(chain, d_mats)], chain[-1])
+            # A_next S^e + E; sample_preimage_batch reduces every target mod q
+            targets = [matmul_mod(nxt.A, s_pow, q) + _sample_error(rng, lwe, (lwe.w, n))
+                       for nxt, s_pow in zip(chain[1:], s_pows)]
+            targets += [rng.integers(0, q, size=(lwe.w, n), dtype=np.int64)
+                        for _ in outsiders]
+            encodings = sample_preimage_batch(traps, targets, rng)
+            walk = _chain_walk([(t.A, d) for t, d in zip(chain[:-1], encodings)], chain[-1])
             try:
                 _open_chain(chain[-1], walk)
                 break
@@ -364,7 +355,6 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
             raise VssError(
                 f"a chain of {len(order)} cannot be opened after {CHAIN_DRAWS} draws: "
                 f"{failure}; raise --q-bits")
-        decoy_d = dict(zip(outsiders, encodings[len(order):]))
 
         header_payload = {
             "order": order,
@@ -380,15 +370,10 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
         [key] = header_keys(instance.authorized_element_ids(), [k2])
         sealed = seal_header(key, inst_id, header_bytes)
 
-        for party in range(1, parties + 1):
-            token = instance.token_for(party)
-            if party in omega:
-                pos = order.index(party)
-                a_mat, d_mat = chain[pos].A, d_mats[pos]
-            else:
-                a_mat, d_mat = decoys[party].A, decoy_d[party]
+        for party, trap, d_mat in zip(order + outsiders, traps, encodings):
             per_party[party].append(InstanceShare(
-                inst_id, token, a_mat, d_mat, sealed, key_shares[party - 1].tobytes()))
+                inst_id, instance.token_for(party), trap.A, d_mat, sealed,
+                key_shares[party - 1].tobytes()))
 
     return [ShareBundle(party, params, per_party[party])
             for party in range(1, parties + 1)]

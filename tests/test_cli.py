@@ -37,7 +37,7 @@ from veilshare.vss import (
 
 def test_empty_report_fixed_bytes():
     blob = serial.serialize("empty-report", {})
-    assert blob == b'{"payload":{},"schema":"empty-report","version":6}\n'
+    assert blob == b'{"payload":{},"schema":"empty-report","version":7}\n'
     assert serial.deserialize(blob, "empty-report") == {}
 
 
@@ -58,18 +58,40 @@ def test_corrupted_bytes_raise_cleanly():
         serial.deserialize(b"\xff\x00garbage", "empty-report")
 
 
-def test_version_and_schema_mismatch():
+def test_version_and_schema_mismatch(tmp_path, capsys):
     doc = json.loads(serial.serialize("empty-report", {}).decode())
     doc["version"] = 9
     with pytest.raises(serial.SerializationError):
         serial.deserialize(json.dumps(doc).encode(), "empty-report")
-    # every version-4 or version-5 document is refused, whatever its kind
+    # every document of version 4 to 6 is refused, whatever its kind
     for kind in ("share-bundle", "token-instance", "set-system"):
-        for version in (4, 5):
+        for version in (4, 5, 6):
             old = json.dumps({"schema": kind, "version": version, "payload": {}}).encode()
             with pytest.raises(serial.SerializationError,
                                match=f"unsupported version {version}"):
                 serial.deserialize(old, kind)
+    # a version-6 share (which always carries a pad), token file and
+    # set-system file each exit 2 on the version, not on a field
+    assert run_cli("--seed", "9", "--quiet", "deal", "--secret", "3", "--gamma0", "1,2",
+                   "--parties", "3", "--outdir", str(tmp_path)) == 0
+    assert run_cli("--seed", "5", "--quiet", "tokens", "gen", "--parties", "3",
+                   "--omega", "1,2", "--out", str(tmp_path / "tok.json")) == 0
+    (tmp_path / "sys.json").write_bytes(serial.serialize("set-system", {
+        "m": 15, "universe_size": 30, "labels": [],
+        "sets": [list(range(15)), list(range(15, 30))]}))
+    for name, kind, argv in (
+            ("share_001.json", "share-bundle", ("reconstruct", "--shares")),
+            ("tok.json", "token-instance", ("tokens", "test", "--subset", "1,2")),
+            ("sys.json", "set-system", ("setsys", "verify"))):
+        path = tmp_path / name
+        doc = json.loads(path.read_bytes())
+        if kind == "share-bundle":
+            doc["payload"]["pad"] = "  "
+        path.write_text(json.dumps({**doc, "version": 6}))
+        argv = (*argv[:2], str(path), *argv[2:])
+        assert run_cli("--quiet", *argv) == 2, kind
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "unsupported version 6" in err, err
     with pytest.raises(serial.SerializationError):
         serial.serialize("no-such-kind", {})
     with pytest.raises(serial.SerializationError):
@@ -391,6 +413,20 @@ def test_cli_setsys_verify_rejects_malformed_files(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("invalid:")
 
 
+def test_cli_setsys_verify_refuses_labels_not_one_per_set(tmp_path, capsys):
+    # set_system_doc writes no labels or one per set; a file cut to one label
+    # for its 24 sets verified with exit 0
+    path = tmp_path / "h.json"
+    assert run_cli("--quiet", "setsys", "build", "--m", "15", "--n", "2", "--l", "2",
+                   "--out", str(path)) == 0
+    payload = serial.deserialize(path.read_bytes(), "set-system")
+    assert len(payload["sets"]) == len(payload["labels"]) == 24
+    path.write_bytes(serial.serialize("set-system", {**payload, "labels": payload["labels"][:1]}))
+    assert run_cli("setsys", "verify", str(path), "--samples", "1000") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and "one per set" in err, err
+
+
 @pytest.fixture(scope="module")
 def h15_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("h15") / "h15.json"
@@ -661,7 +697,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_rejects_malformed_inputs(tmp_path, capsys):
     # a structurally valid document of the right kind but with fields missing
     (tmp_path / "bad_share.json").write_bytes(
-        serial.serialize("share-bundle", {"party": 1, "pad": ""}))
+        serial.serialize("share-bundle", {"party": 1}))
     assert run_cli("--quiet", "reconstruct",
                    "--shares", str(tmp_path / "bad_share.json")) == 2
     (tmp_path / "bad_tok.json").write_bytes(
@@ -809,7 +845,8 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
                        reason="party")
 
     # what loads must write back to the same bytes: no repeated or reordered
-    # token element, no unknown key, a pad of spaces only, instances as objects
+    # token element, no unknown key (a pad field of share format 6 among them),
+    # instances as objects
     def first(payload):
         return payload["instances"][0]
     for part, change in (
@@ -817,7 +854,7 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
             (first, lambda inst: inst["token"].reverse()),
             (whole, lambda doc: doc.update(extra=1)),
             (first, lambda inst: inst.update(extra=1)),
-            (whole, lambda doc: doc.update(pad="x")),
+            (whole, lambda doc: doc.update(pad="  ")),
             (whole, lambda doc: doc["instances"].__setitem__(0, 5))):
         shares = ",".join([rewritten(files[0], change, part), *files[1:3]])
         assert_invalid("reconstruct", "--shares", shares)
@@ -834,7 +871,7 @@ def test_cli_hostile_share_files_exit_2(tmp_path, capsys):
         "outcome": "header-unavailable"}
 
     # shares of an earlier version are refused as such, not misread
-    for version in (1, 2, 3, 4, 5):
+    for version in (1, 2, 3, 4, 5, 6):
         doc = json.loads(Path(files[0]).read_bytes())
         doc["version"] = version
         bad.write_bytes(json.dumps(doc).encode())
@@ -1004,13 +1041,15 @@ def test_cli_deals_and_reconstructs_at_61_bits(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["payload"]["secret"] == 3
 
 
-def test_pad_marker_collision_guard():
-    # string values cannot collide (quotes are escaped); nested keys can
-    with pytest.raises(serial.SerializationError):
-        serial.equalize_lengths([{"pad": "", "inner": {"pad": ""}}], "empty-report")
-    blobs = serial.equalize_lengths(
-        [{"pad": "", "v": 1}, {"pad": "", "v": 1234}], "empty-report")
-    assert len(blobs[0]) == len(blobs[1])
+def test_equalize_lengths_pads_with_spaces_after_the_document():
+    docs = [{"v": 1}, {"v": 1234}, {"pad": "", "inner": {"pad": ""}}]
+    blobs = serial.equalize_lengths(docs, "empty-report")
+    assert len({len(blob) for blob in blobs}) == 1
+    for doc, blob in zip(docs, blobs):
+        bare = serial.serialize("empty-report", doc)
+        assert blob == bare[:-1] + b" " * (len(blob) - len(bare)) + b"\n"
+        assert serial.deserialize(blob, "empty-report") == doc
+    assert blobs[2] == serial.serialize("empty-report", docs[2])     # the longest
 
 
 def test_cli_simulate(tmp_path, capsys):

@@ -42,6 +42,15 @@ def test_find_q_pins_31_divisibility():
     assert DESK.d == 23 and DESK.w == 96 and DESK.w_bar == 4
 
 
+def test_digit_width_is_exact_past_float_precision():
+    # ceil(log2(2**60 + 30)) rounds to 60 in float64, a digit short of q,
+    # and deal at that q asked numpy for 1.48 EiB
+    wide = LweParams(n=4, p=31, q=2**60 + 30)
+    assert wide.d == 61 and wide.w == 4 * 62
+    for bits in (5, 23, 30, 47, 61):
+        assert LweParams(n=4, p=31, q=find_q(31, bits)).d == bits
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LweParams(n=4, p=31, q=31 * 31 * 4)       # p divides c

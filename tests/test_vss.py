@@ -341,6 +341,13 @@ def test_params_doc_roundtrip():
         VssParams.from_doc({**VssParams.desk().to_doc(), "lam": 512, "c_bound_milli": 4000})
 
 
+def test_deal_round_trip_at_a_q_just_above_2_to_the_60():
+    params = VssParams(LweParams(n=4, p=31, q=2**60 + 30))
+    bundles = deal(SECRET, [(1, 2)], 2, params, seed=1)
+    assert reconstruct(bundles) == SECRET
+    assert verify_shares(bundles, SECRET) == {1: 1, 2: 1}
+
+
 def test_entry_overflow_rejected():
     tiny = VssParams(LweParams(n=4, p=31, q=31 * 33))
     with pytest.raises(VssError):
