@@ -17,7 +17,7 @@ from .numt import Modulus
 from .rng import named_stream
 from .setsys import build_grolmusz_system, merge_systems, verify_restricted_intersections
 from .sim import SimulationConfig, run_simulation
-from .tokens import combine_tokens, encode_access_structure, membership_test, read_token
+from .tokens import combine_tokens, encode_access_structure, membership_test, read_token, token_ids
 from .vss import (
     HeaderUnavailableError,
     Secret,
@@ -115,7 +115,7 @@ def cmd_tokens_gen(args) -> int:
     payload = {
         "instance_id": instance.instance_id,
         "parties": instance.party_count,
-        "tokens": {str(p): sorted(instance.token_for(p))
+        "tokens": {str(p): token_ids(instance.token_for(p))
                    for p in range(1, instance.party_count + 1)},
     }
     _write(args.out, serial.serialize("token-instance", payload))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .rng import named_stream
-from .tokens import check_party_count
+from .tokens import check_party_count, token_ids
 from .vss import (
     HeaderUnavailableError,
     Secret,
@@ -94,10 +94,10 @@ def _corrupt_bundle(bundle: ShareBundle, mode: str, rng: np.random.Generator) ->
             d.reshape(-1)[idx] += rng.choice(np.array([-1, 1]), size=8)
             instances.append(replace(inst, d_matrix=d))
         else:   # token
-            elements = sorted(inst.token)
+            elements = token_ids(inst.token)
             dropped = int(rng.integers(0, len(elements)))
-            foreign = max(elements) + 1 + int(rng.integers(0, 1000))
-            tampered = frozenset(e for i, e in enumerate(elements) if i != dropped) | {foreign}
+            foreign = elements[-1] + 1 + int(rng.integers(0, 1000))
+            tampered = (inst.token & ~(1 << elements[dropped])) | (1 << foreign)
             instances.append(replace(inst, token=tampered))
     return replace(bundle, instances=instances)
 

@@ -10,10 +10,13 @@ intersect down to exactly H precisely when the coalition contains Omega.
 
 Every party only ever sees its token: the image of H_0 n S_i under a
 secret random permutation gamma of the universe, where H_0 is one more
-superset of H joined with all tags.  Coalitions intersect their tokens
-and test the cardinality: nonzero and 0 mod m means authorized.  The
-tokens never identify Omega, and re-running with a fresh gamma rewrites
-every token while preserving all verdicts.
+superset of H joined with all tags.  The package holds a token as an int
+mask whose bit e is set for each permuted element id e, so a coalition
+intersects its tokens with one AND and tests the popcount: nonzero and
+0 mod m means authorized.  Share and token files carry the strictly
+increasing id list instead; token_ids and read_token convert at that
+edge.  The tokens never identify Omega, and re-running with a fresh
+gamma rewrites every token while preserving all verdicts.
 
 Soundness needs the largest prime divisor of m to exceed
 l + |Omega| + KAPPA, where the tag pad KAPPA is fixed at 2, so the
@@ -26,6 +29,7 @@ setsys.merge_layout.  H_0 takes one, so an encoding hosts at most 26 parties.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +59,16 @@ class AccessStructureInstance:
     assigned_sets: dict[int, frozenset[int]]   # party id -> S_i
     gamma: np.ndarray                  # permutation over the extended universe
 
-    def token_for(self, party: int) -> frozenset[int]:
-        """The party's token: gamma of H_0 n S_i, as permuted element ids."""
-        raw = self.h_zero & self.assigned_sets[party]
-        return frozenset(int(self.gamma[e]) for e in raw)
+    def token_for(self, party: int) -> int:
+        """The party's token: the mask of gamma(H_0 n S_i)."""
+        return self._image(self.h_zero & self.assigned_sets[party])
 
-    def authorized_element_ids(self) -> tuple[int, ...]:
-        """gamma(H): the common value every authorized coalition intersects to."""
-        return tuple(sorted(int(self.gamma[e]) for e in self.h_set))
+    def authorized_token(self) -> int:
+        """The mask of gamma(H): the token every authorized coalition combines to."""
+        return self._image(self.h_set)
+
+    def _image(self, elements: frozenset[int]) -> int:
+        return token_mask(self.gamma[np.fromiter(elements, np.intp, len(elements))])
 
 
 @functools.lru_cache(maxsize=4)
@@ -99,19 +105,33 @@ def check_party_count(parties: int) -> None:
         raise TokenEncodingError(f"the token system hosts at most {bound} parties, not {parties}")
 
 
-def read_token(doc) -> frozenset[int]:
-    """A token as share and token files write it; anything else is refused.
+def token_mask(ids) -> int:
+    """The token holding exactly ids, each in [0, token_id_bound()): bit e set for each e."""
+    bits = np.zeros(token_id_bound(), dtype=np.uint8)
+    bits[ids] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def token_ids(mask: int) -> list[int]:
+    """The ids a token holds, strictly increasing: its form in share and token files."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.view(bool).nonzero()[0].tolist()    # nonzero runs faster on bools
+
+
+def read_token(doc) -> int:
+    """A token as share and token files write it, as a mask; anything else is refused.
 
     That is a nonempty, strictly increasing list of integer ids below
     token_id_bound(): the one order writers use, with no repeats.
     """
     doc = read_ints(doc, "token")
-    if not doc or any(a >= b for a, b in zip(doc, doc[1:])):
+    if not doc or not all(map(operator.lt, doc, doc[1:])):
         raise SerializationError("token must be nonempty and strictly increasing")
     bound = token_id_bound()
     if doc[0] < 0 or doc[-1] >= bound:
         raise SerializationError(f"token elements must lie in [0, {bound})")
-    return frozenset(doc)
+    return token_mask(np.fromiter(doc, np.intp, len(doc)))
 
 
 @functools.cache
@@ -196,16 +216,17 @@ def encode_access_structure(party_count: int, omega, rng: np.random.Generator,
     )
 
 
-def combine_tokens(tokens: list[frozenset[int]]) -> frozenset[int]:
-    """Intersection of one instance's tokens."""
+def combine_tokens(tokens: list[int]) -> int:
+    """Intersection of one instance's tokens: the AND of their masks."""
     if not tokens:
         raise ValueError("need at least one token")
-    return frozenset(tokens[0]).intersection(*tokens[1:])
+    return functools.reduce(operator.and_, tokens)
 
 
-def membership_test(combined) -> bool:
-    """Authorized iff the combined cardinality is nonzero and 0 mod DEFAULT_M."""
-    return len(combined) > 0 and len(combined) % DEFAULT_M == 0
+def membership_test(combined: int) -> bool:
+    """Authorized iff the combined popcount is nonzero and 0 mod DEFAULT_M."""
+    size = combined.bit_count()
+    return size > 0 and size % DEFAULT_M == 0
 
 
 def subset_is_authorized(instance: AccessStructureInstance, subset) -> bool:

@@ -85,6 +85,7 @@ from .tokens import (
     encode_access_structure,
     membership_test,
     read_token,
+    token_ids,
 )
 
 
@@ -145,7 +146,7 @@ CHAIN_DRAWS = 4          # draws of a chain's errors and encodings before deal r
 @dataclass
 class InstanceShare:
     instance_id: str
-    token: frozenset[int]      # permuted element ids
+    token: int                 # bit e set for each permuted element id e
     a_matrix: np.ndarray       # (w, n): chain matrix or decoy
     d_matrix: np.ndarray       # (w, w): encoding or decoy
     header_ct: bytes
@@ -154,7 +155,7 @@ class InstanceShare:
     def to_doc(self) -> dict:
         return {
             "instance_id": self.instance_id,
-            "token": sorted(self.token),
+            "token": token_ids(self.token),
             "a": serial.matrix_doc(self.a_matrix),
             "d": serial.rice_doc(self.d_matrix),
             "header_ct": serial.to_b64(self.header_ct),
@@ -182,12 +183,6 @@ class ShareBundle:
     party: int
     params: VssParams
     instances: list[InstanceShare]
-
-    def instance(self, instance_id: str) -> InstanceShare:
-        for inst in self.instances:
-            if inst.instance_id == instance_id:
-                return inst
-        raise KeyError(instance_id)
 
     def to_doc(self) -> dict:
         return {
@@ -217,9 +212,12 @@ class ShareBundle:
 # header encryption: hash KDF, xor keystream, MAC; deterministic per key/nonce
 
 
-def header_keys(element_ids, key_parts):
-    """SHA-256(domain | K2 | gamma(H)) for each candidate K2 in key_parts, lazily."""
-    ids = ",".join(str(i) for i in sorted(element_ids)).encode()
+def header_keys(token: int, key_parts):
+    """SHA-256(domain | K2 | gamma(H)) for each candidate K2 in key_parts, lazily.
+
+    gamma(H) is the token's comma-joined, increasing id list.
+    """
+    ids = ",".join(map(str, token_ids(token))).encode()
     for part in key_parts:
         yield hashlib.sha256(b"veilshare.header.v4|" + part + ids).digest()
 
@@ -367,7 +365,7 @@ def deal(secret: Secret, gamma0, parties: int, params: VssParams,
         key_shares = named_stream(seed, "vss", "key", inst_id).integers(
             0, 256, size=(parties, KEY_SHARE_BYTES), dtype=np.uint8)
         k2 = np.bitwise_xor.reduce(key_shares[[party - 1 for party in omega]]).tobytes()
-        [key] = header_keys(instance.authorized_element_ids(), [k2])
+        [key] = header_keys(instance.authorized_token(), [k2])
         sealed = seal_header(key, inst_id, header_bytes)
 
         for party, trap, d_mat in zip(order + outsiders, traps, encodings):
@@ -417,14 +415,17 @@ def _read_chains(bundles: list[ShareBundle]):
     """
     if len({b.party for b in bundles}) != len(bundles):
         raise VssError("two shares name the same party")
-    per_bundle = [sorted(i.instance_id for i in b.instances) for b in bundles]
-    if any(ids != per_bundle[0] for ids in per_bundle[1:]):
+    # a bundle that repeats an instance id indexes fewer instances than it holds
+    indexed = [{i.instance_id: i for i in b.instances} for b in bundles]
+    first = indexed[0]
+    if any(len(index) != len(b.instances) or index.keys() != first.keys()
+           for index, b in zip(indexed, bundles)):
         raise VssError("bundles disagree on instances: not from one dealing")
     params = bundles[0].params
     if any(b.params != params for b in bundles[1:]):
         raise VssError("bundles disagree on parameters: not from one dealing")
-    for instance_id in per_bundle[0]:
-        shares = {b.party: b.instance(instance_id) for b in bundles}
+    for instance_id in sorted(first):
+        shares = {b.party: index[instance_id] for b, index in zip(bundles, indexed)}
         combined = combine_tokens([s.token for s in shares.values()])
         if not membership_test(combined):
             continue

@@ -942,8 +942,8 @@ def resealed_share_files(tmp_path, edit):
     bundles = deal(Secret(3, 31), [(1, 2, 3)], 5, VssParams.desk(), seed=9)
     members = [b.instances[0] for b in bundles[:3]]
     inst_id, sealed = members[0].instance_id, members[0].header_ct
-    ids = combine_tokens([inst.token for inst in members])
-    for key in header_keys(ids, _subset_xors([inst.key_share for inst in members])):
+    gamma_h = combine_tokens([inst.token for inst in members])
+    for key in header_keys(gamma_h, _subset_xors([inst.key_share for inst in members])):
         try:
             header = serial.deserialize(open_header([key], inst_id, sealed), "reconstruction")
             break

@@ -2,6 +2,8 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veilshare import serial, setsys, tokens
 from veilshare.rng import named_stream
@@ -17,8 +19,11 @@ from veilshare.tokens import (
     default_token_systems,
     encode_access_structure,
     membership_test,
+    read_token,
     subset_is_authorized,
     token_id_bound,
+    token_ids,
+    token_mask,
 )
 from veilshare.vss import Secret, ShareBundle, VssParams, deal, serialize_bundles
 
@@ -57,11 +62,35 @@ def test_default_systems_take_one_modulus():
 
 
 def test_membership_test_numeric_edges():
-    assert membership_test(frozenset(range(39))) is True
-    assert membership_test(frozenset(range(40))) is False
-    assert membership_test(frozenset(range(78))) is True
+    assert membership_test((1 << 39) - 1) is True
+    assert membership_test((1 << 40) - 1) is False
+    assert membership_test((1 << 78) - 1) is True
     # an empty intersection is 0 mod everything, and still never authorized
-    assert membership_test(frozenset()) is False
+    assert membership_test(0) is False
+
+
+# a shared core keeps the intersections of random tokens from being empty
+ID_SETS = st.sets(st.integers(0, token_id_bound() - 1), max_size=120).flatmap(
+    lambda core: st.lists(st.sets(st.integers(0, token_id_bound() - 1), max_size=120)
+                          .map(core.union), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ID_SETS)
+def test_masks_agree_with_id_sets(id_sets):
+    masks = [token_mask(list(ids)) for ids in id_sets]
+    for ids, mask in zip(id_sets, masks):
+        written = token_ids(mask)
+        assert all(a < b for a, b in zip(written, written[1:]))
+        assert written == sorted(ids)
+        assert mask.bit_count() == len(ids)
+        if ids:
+            assert read_token(written) == mask
+    common = frozenset.intersection(*map(frozenset, id_sets))
+    combined = combine_tokens(masks)
+    assert token_ids(combined) == sorted(common)
+    assert combined.bit_count() == len(common)
+    assert membership_test(combined) == (len(common) > 0 and len(common) % DEFAULT_M == 0)
 
 
 def test_deal_builds_no_gram_matrix():
@@ -118,14 +147,14 @@ def test_combined_tokens_values():
     # a single token combines to itself
     assert combine_tokens([tokens[1]]) == tokens[1]
     # authorized coalitions all reach gamma(H)
-    gamma_h = frozenset(inst.authorized_element_ids())
-    assert len(gamma_h) % DEFAULT_M == 0
+    gamma_h = inst.authorized_token()
+    assert gamma_h.bit_count() % DEFAULT_M == 0
     for subset in all_subsets(5):
         combined = combine_tokens([tokens[p] for p in subset])
         if closure_member(subset, (2, 4)):
             assert combined == gamma_h
         else:
-            assert len(combined) % DEFAULT_M != 0
+            assert combined.bit_count() % DEFAULT_M != 0
 
 
 FIXED_CASES = [
@@ -201,11 +230,11 @@ def test_omega_validation():
 
 def test_tokens_are_subsets_of_gamma_h_zero():
     inst = encode(5, (1, 2, 3), seed=110)
-    gamma_h0 = {int(inst.gamma[e]) for e in inst.h_zero}
+    gamma_h0 = sum(1 << int(inst.gamma[e]) for e in inst.h_zero)
     for p in range(1, 6):
         token = inst.token_for(p)
         assert token
-        assert token <= gamma_h0
+        assert token & ~gamma_h0 == 0
 
 
 def test_hiding_surrogate_token_size_multisets():
@@ -219,7 +248,7 @@ def test_hiding_surrogate_token_size_multisets():
         for t in range(trials):
             rng = named_stream(2024, "hiding", tag, t)
             inst = encode_access_structure(parties, omega, rng)
-            sizes = tuple(sorted(len(inst.token_for(p))
+            sizes = tuple(sorted(inst.token_for(p).bit_count()
                                  for p in range(1, parties + 1)))
             counter[sizes] += 1
         return counter

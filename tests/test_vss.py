@@ -221,7 +221,8 @@ def _verdicts_reference(bundles, secret):
     """
     verdicts = {b.party: 1 for b in bundles}
     for inst in bundles[0].instances:
-        shares = {b.party: b.instance(inst.instance_id) for b in bundles}
+        shares = {b.party: next(i for i in b.instances if i.instance_id == inst.instance_id)
+                  for b in bundles}
         alone = [dataclasses.replace(b, instances=[shares[b.party]]) for b in bundles]
         chain = next(_read_chains(alone), None)
         if chain is None:
@@ -401,10 +402,35 @@ def test_reconstruct_reads_no_chain_past_the_first_that_opens(monkeypatch):
     assert len(opened) == 1
 
 
+def test_token_refusal_touches_neither_header_nor_lattice(monkeypatch):
+    # 38 of the 63 coalitions are refused on their tokens alone, before any
+    # header key is derived or tried and before any trapdoor is rebuilt
+    gamma0 = [(1, 2, 3), (2, 4, 5), (1, 6)]
+    bundles = deal(SECRET, gamma0, 6, PARAMS, seed=4104)
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("a token refusal reached the header or the lattice")
+
+    for name in ("open_header", "header_keys", "planted_trapdoor", "lwe_invert"):
+        monkeypatch.setattr(vss, name, forbidden)
+    refused = 0
+    for r in range(1, 7):
+        for subset in itertools.combinations(range(1, 7), r):
+            if not any(set(o) <= set(subset) for o in gamma0):
+                with pytest.raises(UnauthorizedError):
+                    reconstruct(coalition(bundles, subset))
+                refused += 1
+    assert refused == 38
+
+
 def test_mixed_dealings_rejected(dealt):
     other = deal(SECRET, [(1, 2)], 5, PARAMS, seed=2099)
-    with pytest.raises(VssError):
+    with pytest.raises(VssError, match="disagree on instances"):
         reconstruct([dealt[0], other[1]])
+    # no dealing repeats an instance in a share, even when every share does
+    doubled = [dataclasses.replace(b, instances=b.instances * 2) for b in dealt[:3]]
+    with pytest.raises(VssError, match="disagree on instances"):
+        reconstruct(doubled)
 
 
 def test_header_tamper_detected(dealt):
@@ -423,7 +449,7 @@ def test_disjoint_token_is_unauthorized(dealt):
     # an empty intersection has size 0, which is 0 mod m yet certifies nothing
     bundles = coalition(dealt, [1, 2, 3])
     inst = bundles[2].instances[0]
-    inst = dataclasses.replace(inst, token=frozenset({-1}))
+    inst = dataclasses.replace(inst, token=1 << token_id_bound())    # an id no token holds
     tampered = [*bundles[:2], ShareBundle(3, bundles[2].params, [inst])]
     with pytest.raises(UnauthorizedError):
         reconstruct(tampered)
